@@ -71,12 +71,14 @@ race-robust:
 	$(GO) test -race -count=3 ./internal/engine ./internal/fault
 
 # Short-budget fuzz smoke: one representative differential fuzzer per
-# package (go's -fuzz accepts a single target per run). Seed corpora in
+# package (go's -fuzz accepts a single target per run), plus the fp2 row
+# kernel, the only multiplier on the fast execution path. Seed corpora in
 # testdata/fuzz/ run on every plain `go test`; this adds a few seconds
 # of coverage-guided input generation on top.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzArithVsBig$$' -fuzztime=$(FUZZTIME) ./internal/fp
 	$(GO) test -run='^$$' -fuzz='^FuzzMulVsBig$$' -fuzztime=$(FUZZTIME) ./internal/fp2
+	$(GO) test -run='^$$' -fuzz='^FuzzMulAlg2RowsEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/fp2
 	$(GO) test -run='^$$' -fuzz='^FuzzDecomposeRecodeRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/scalar
 
 smoke: build

@@ -203,11 +203,14 @@ func runClockSkew(h *harness) {
 // deliberately small engine queue. The invariant under overload is the
 // layering: admission sheds (503) strictly before the engine's own
 // backpressure can fire — serve.engine_rejected stays zero — and
-// goodput returns to baseline the moment the burst ends.
+// goodput returns to baseline the moment the burst ends. The queue depth
+// of 4 (a shed limit of 2 weight per shard) keeps the burst past the
+// mark: at depth 8 the workers drained it about as fast as 32 clients
+// could offer it, and some runs shed nothing.
 func runSaturation(h *harness) {
 	err := h.start(serve.Options{
 		Shards:             2,
-		Engine:             engine.Options{Workers: 1, QueueDepth: 8},
+		Engine:             engine.Options{Workers: 1, QueueDepth: 4},
 		ShedHighWater:      0.5,
 		SupervisorInterval: 10 * time.Millisecond,
 	})

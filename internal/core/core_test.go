@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/curve"
+	"repro/internal/jobshop"
 	"repro/internal/power"
 	"repro/internal/scalar"
 	"repro/internal/sched"
@@ -75,10 +76,33 @@ func TestPowerModelPlausibleFrequency(t *testing.T) {
 	t.Logf("derived Fmax(1.2V) = %.1f MHz for %d cycles/SM", f/1e6, p.CyclesEndoModeled())
 }
 
+// TestTableI solves the Table I block once, with solver progress
+// reporting on, and checks both the result and the branch-and-bound
+// progress stream (incumbent/bound events, exactly one done event).
 func TestTableI(t *testing.T) {
-	r, err := TableI(sched.DefaultResources())
+	var incumbents, bounds, done int
+	r, err := TableIObserved(sched.DefaultResources(), func(p jobshop.Progress) {
+		switch p.Kind {
+		case jobshop.ProgressIncumbent:
+			incumbents++
+		case jobshop.ProgressBound:
+			bounds++
+		case jobshop.ProgressDone:
+			done++
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if incumbents+bounds < 1 {
+		t.Fatalf("no incumbent/bound progress events on the Table I workload (incumbents=%d bounds=%d)",
+			incumbents, bounds)
+	}
+	if done != 1 {
+		t.Fatalf("done events = %d, want 1", done)
+	}
+	if r.Makespan <= 0 {
+		t.Fatalf("Table I makespan = %d", r.Makespan)
 	}
 	if r.Muls != 15 || r.Adds != 13 {
 		t.Errorf("block op counts %d/%d, want 15/13", r.Muls, r.Adds)

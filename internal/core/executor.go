@@ -189,9 +189,10 @@ func (e *Executor) ScalarMult(k scalar.Scalar) (curve.Affine, rtl.Stats, error) 
 }
 
 // ScalarMultPoint executes [k]P on the RTL model, reusing this
-// executor's machine. With no injector attached this is the compiled
-// fast path and allocates nothing; note the returned Stats then carry
-// the program's shared read-only IssuesByOpcode map.
+// executor's machine. With no injector attached this is a one-lane run
+// of the lockstep path (the same loop and row kernel as
+// ScalarMultLanes) and allocates nothing; note the returned Stats then
+// carry the program's shared read-only IssuesByOpcode map.
 func (e *Executor) ScalarMultPoint(k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
 	dec := scalar.Decompose(k)
 	e.bound[0].Val = base.X

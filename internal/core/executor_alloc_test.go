@@ -8,9 +8,9 @@ import (
 	"repro/internal/scalar"
 )
 
-// TestExecutorScalarMultZeroAllocs pins the tentpole guarantee: a warm
-// Executor running the compiled fast path (no injector) performs zero
-// heap allocations per scalar multiplication.
+// TestExecutorScalarMultZeroAllocs pins the steady-state guarantee: a
+// warm Executor running a singleton on the one-lane fast path (no
+// injector) performs zero heap allocations per scalar multiplication.
 func TestExecutorScalarMultZeroAllocs(t *testing.T) {
 	p := getProcessor(t)
 	ex := p.NewExecutor()
@@ -25,6 +25,24 @@ func TestExecutorScalarMultZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Executor.ScalarMult allocates %.1f times per run on the fast path, want 0", allocs)
+	}
+}
+
+// TestExecutorFixedBaseZeroAllocs pins the same guarantee for a
+// singleton fixed-base run (the comb program on the one-lane path).
+func TestExecutorFixedBaseZeroAllocs(t *testing.T) {
+	ex := getFBProcessor(t).NewExecutor()
+	k := DefaultTraceScalar()
+	if _, _, err := ex.ScalarMultFixedBase(k); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := ex.ScalarMultFixedBase(k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Executor.ScalarMultFixedBase allocates %.1f times per run on the fast path, want 0", allocs)
 	}
 }
 

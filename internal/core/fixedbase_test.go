@@ -2,9 +2,12 @@ package core
 
 import (
 	mrand "math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/curve"
+	"repro/internal/isa"
+	"repro/internal/rtl"
 	"repro/internal/scalar"
 )
 
@@ -122,5 +125,58 @@ func TestFixedBaseLanesParity(t *testing.T) {
 		if !outs[l].X.Equal(want.X) || !outs[l].Y.Equal(want.Y) {
 			t.Fatalf("lane %d: lockstep fixed-base result differs from library", l)
 		}
+	}
+}
+
+// squashRun is an rtl.Injector that squashes every control-ROM slot of
+// one run (counted from 1 at each cycle-0 BeginCycle), so that run ends
+// with its outputs never written: a structural error for that lane.
+type squashRun struct {
+	interpretOnly
+	run, target int
+}
+
+func (s *squashRun) BeginCycle(cycle int, _ rtl.RegFile) {
+	if cycle == 0 {
+		s.run++
+	}
+}
+func (s *squashRun) Fetch(_ int, ins isa.Instr) (isa.Instr, bool) {
+	return ins, s.run != s.target
+}
+
+// TestFixedBaseLanesFaultedLastLaneKeepsStats: with an injector
+// attached, the per-lane fallback must return the comb program's Stats
+// even when the last lane faults — a faulted lane's Stats{} would
+// otherwise stamp zero cycles on every successful lane-mate.
+func TestFixedBaseLanesFaultedLastLaneKeepsStats(t *testing.T) {
+	p := getFBProcessor(t)
+	e := p.NewExecutor()
+	const n = 3
+	e.SetInjector(&squashRun{target: n})
+	ks := []scalar.Scalar{{11}, {12, 13}, {14, 15, 16}}
+	outs := make([]curve.Affine, n)
+	errs := make([]error, n)
+	st, err := e.ScalarMultFixedBaseLanes(ks, outs, errs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs[n-1] == nil {
+		t.Fatal("last lane: injected fault did not fail the run")
+	}
+	for l := 0; l < n-1; l++ {
+		if errs[l] != nil {
+			t.Fatalf("lane %d: %v", l, errs[l])
+		}
+		want := curve.ScalarMult(ks[l], curve.Generator()).Affine()
+		if !outs[l].X.Equal(want.X) || !outs[l].Y.Equal(want.Y) {
+			t.Fatalf("lane %d: wrong point", l)
+		}
+	}
+	if want := p.fbCompiled.Stats(); !reflect.DeepEqual(st, want) {
+		t.Fatalf("stats after a faulted last lane = %+v, want the comb program's %+v", st, want)
+	}
+	if st.Cycles != p.FixedBaseProgram().Makespan {
+		t.Fatalf("stats cycles = %d, want the comb makespan %d", st.Cycles, p.FixedBaseProgram().Makespan)
 	}
 }

@@ -54,8 +54,9 @@ func (e *Executor) lanes(n int) *laneState {
 // for caller mistakes (mismatched slice lengths, no lanes).
 //
 // With an injector attached the lockstep path is bypassed: each lane
-// runs through the single-lane machine so faults land in exactly one
-// lane, preserving the per-lane error contract.
+// runs through ScalarMultPoint, whose injected runs take the reference
+// interpreter, so faults land in exactly one lane, preserving the
+// per-lane error contract.
 func (e *Executor) ScalarMultLanes(ks []scalar.Scalar, bases []curve.Affine, outs []curve.Affine, errs []error) (rtl.Stats, error) {
 	n := len(ks)
 	if n == 0 {
@@ -128,11 +129,15 @@ func (e *Executor) ScalarMultFixedBaseLanes(ks []scalar.Scalar, outs []curve.Aff
 			n, len(outs), len(errs))
 	}
 	if e.p.fbCompiled == nil || e.inj != nil {
-		var st rtl.Stats
 		for l := 0; l < n; l++ {
-			outs[l], st, errs[l] = e.ScalarMultFixedBase(ks[l])
+			outs[l], _, errs[l] = e.ScalarMultFixedBase(ks[l])
 		}
-		return st, nil
+		// The program's stats, not a lane's: a faulted lane returns
+		// Stats{}, which must not stamp zero cycles on its lane-mates.
+		if e.p.fbCompiled == nil {
+			return e.p.funcCompiled.Stats(), nil
+		}
+		return e.p.fbCompiled.Stats(), nil
 	}
 	ls := e.fbLanes(n)
 	for l := 0; l < n; l++ {

@@ -4,41 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/jobshop"
 	"repro/internal/scalar"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
-
-// TestTableIBnBProgress checks the acceptance criterion that the
-// branch-and-bound solver reports at least one progress event
-// (incumbent or bound improvement) on the Table I workload.
-func TestTableIBnBProgress(t *testing.T) {
-	var incumbents, bounds, done int
-	r, err := TableIObserved(sched.DefaultResources(), func(p jobshop.Progress) {
-		switch p.Kind {
-		case jobshop.ProgressIncumbent:
-			incumbents++
-		case jobshop.ProgressBound:
-			bounds++
-		case jobshop.ProgressDone:
-			done++
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if incumbents+bounds < 1 {
-		t.Fatalf("no incumbent/bound progress events on the Table I workload (incumbents=%d bounds=%d)",
-			incumbents, bounds)
-	}
-	if done != 1 {
-		t.Fatalf("done events = %d, want 1", done)
-	}
-	if r.Makespan <= 0 {
-		t.Fatalf("Table I makespan = %d", r.Makespan)
-	}
-}
 
 // TestProcessorTelemetry builds one processor with a telemetry recorder
 // and exercises both the wall-clock pipeline spans and the cycle-domain

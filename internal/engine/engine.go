@@ -117,13 +117,14 @@ type Options struct {
 	// Injector, when non-nil, arms worker i's executor with
 	// Injector(i) — the fault-campaign hook (see internal/fault).
 	Injector func(worker int) rtl.Injector
-	// LaneWidth > 1 turns on request coalescing: each worker drains up
-	// to LaneWidth queued jobs and executes them in one lockstep pass of
-	// the compiled schedule (core.Executor.ScalarMultLanes), amortizing
-	// the schedule walk across the batch. Results and errors stay
-	// per-request and are delivered exactly-once through the same job
-	// plumbing; a lane that fails validation re-enters the retry ladder
-	// alone. Default 1 (no coalescing).
+	// LaneWidth is how many queued jobs a worker drains and executes in
+	// one lockstep pass of the compiled schedule
+	// (core.Executor.ScalarMultLanes); above 1 this coalesces requests,
+	// amortizing the schedule walk across the batch. Every width runs the
+	// same worker loop and lockstep path, a lone job as a one-lane batch.
+	// Results and errors stay per-request and are delivered exactly-once
+	// through the same job plumbing; a lane that fails validation
+	// re-enters the retry ladder alone. Default 1 (no coalescing).
 	LaneWidth int
 	// FlushDeadline bounds how long a lane worker waits for lane-mates
 	// when it holds a partial batch: once it expires the batch runs at
@@ -146,14 +147,14 @@ type Options struct {
 	// FlightRecorder receives structured lifecycle events (admit,
 	// execute, retry, fallback, deliver, lane runs, breaker and
 	// quarantine transitions) and is snapshotted into a post-mortem dump
-	// automatically on anomalies: validation failure, lane error,
-	// breaker trip, worker quarantine. nil creates a private
+	// automatically on anomalies: validation failure (of a lockstep lane
+	// or a retry), breaker trip, worker quarantine. nil creates a private
 	// DefaultFlightSize recorder; either way it is reachable via
 	// Engine.Flight.
 	FlightRecorder *telemetry.FlightRecorder
 	// ExecHook, when non-nil, is called by a worker after it has claimed
-	// work and immediately before executing it (once per claimed job on
-	// the single-job path, once per lockstep batch on the lane path).
+	// work and immediately before executing it (once per lockstep batch;
+	// a lone job is a batch of one).
 	// It is the deterministic chaos hook for modeling a stalled shard: a
 	// hook that blocks stalls this engine's workers with work claimed,
 	// which backs the queue up without dropping anything — exactly the
@@ -322,8 +323,8 @@ type workerState struct {
 	consecFaults int
 	quarantined  bool
 	stateGauge   *telemetry.Gauge // engine.worker_<id>_state: 0 active, 1 quarantined
-	// Lane-coalescing scratch, sized to Options.LaneWidth once at
-	// construction so the steady-state batch path allocates nothing.
+	// Lane scratch, sized to Options.LaneWidth once at construction so
+	// the steady-state batch path allocates nothing.
 	jobs  []*job
 	ks    []scalar.Scalar
 	bases []curve.Affine
@@ -477,22 +478,19 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 			stateGauge: reg.Gauge(fmt.Sprintf("%s.worker_%d_state", ns, i)),
 		}
 		w.stateGauge.Set(0)
+		lw := opts.LaneWidth
+		w.jobs = make([]*job, 0, lw)
+		w.ks = make([]scalar.Scalar, 0, lw)
+		w.bases = make([]curve.Affine, 0, lw)
+		w.outs = make([]curve.Affine, lw)
+		w.lerrs = make([]error, lw)
 		e.wg.Add(1)
-		run := e.worker
-		if lw := opts.LaneWidth; lw > 1 {
-			w.jobs = make([]*job, 0, lw)
-			w.ks = make([]scalar.Scalar, 0, lw)
-			w.bases = make([]curve.Affine, 0, lw)
-			w.outs = make([]curve.Affine, lw)
-			w.lerrs = make([]error, lw)
-			run = e.workerLanes
-		}
 		// Label the worker goroutine so CPU profiles taken off the debug
 		// endpoint attribute samples to pool members.
-		go func(w *workerState, run func(*workerState)) {
+		go func(w *workerState) {
 			pprof.Do(context.Background(), pprof.Labels("engine_worker", strconv.Itoa(w.id)),
-				func(context.Context) { run(w) })
-		}(w, run)
+				func(context.Context) { e.workerLanes(w) })
+		}(w)
 	}
 	return e
 }
@@ -722,37 +720,8 @@ func (e *Engine) await(ctx context.Context, j *job) (Result, error) {
 	}
 }
 
-// worker pops jobs and executes them on its own executor.
-func (e *Engine) worker(w *workerState) {
-	defer e.wg.Done()
-	for {
-		e.mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
-			e.cond.Wait()
-		}
-		if len(e.queue) == 0 {
-			e.mu.Unlock()
-			return
-		}
-		j := e.queue[0]
-		e.queue = e.queue[1:]
-		e.depth.Set(float64(len(e.queue)))
-		e.mu.Unlock()
-
-		if !j.state.CompareAndSwap(jobPending, jobClaimed) {
-			continue // canceled while queued; the canceler accounted for it
-		}
-		e.claimJob(j)
-		e.inFlight.Add(1)
-		if e.opts.ExecHook != nil {
-			e.opts.ExecHook(w.id)
-		}
-		e.deliver(j, e.execute(w, j))
-	}
-}
-
 // deliver resolves one claimed job: exactly one Result on done, with
-// the in-flight/latency/completion accounting of the single-job loop.
+// the in-flight/latency/completion accounting.
 func (e *Engine) deliver(j *job, r Result) {
 	e.load.Add(-1)
 	e.inFlight.Add(-1)
@@ -774,9 +743,8 @@ func (e *Engine) deliver(j *job, r Result) {
 	j.done <- r
 }
 
-// workerLanes is the coalescing worker loop (Options.LaneWidth > 1):
-// drain up to LaneWidth jobs, run them in one lockstep pass, deliver
-// per lane.
+// workerLanes is the worker loop: drain up to LaneWidth jobs, run them
+// in one lockstep pass on the worker's own executor, deliver per lane.
 func (e *Engine) workerLanes(w *workerState) {
 	defer e.wg.Done()
 	for {
@@ -793,11 +761,11 @@ func (e *Engine) workerLanes(w *workerState) {
 }
 
 // collect claims up to LaneWidth queued jobs for one lockstep batch.
-// It blocks for the first job like the single-job loop; holding a
-// partial batch it then waits for lane-mates in FlushDeadline/4 slices
-// of injected-Clock sleep, giving up at the flush deadline (or at once
-// when the deadline is negative, or when the engine closes) — so a
-// lone request pays at most the deadline, never an unbounded wait.
+// It blocks for the first job; holding a partial batch it then waits
+// for lane-mates in FlushDeadline/4 slices of injected-Clock sleep,
+// giving up at the flush deadline (or at once when the deadline is
+// negative, or when the engine closes) — so a lone request pays at most
+// the deadline, never an unbounded wait.
 // Returns an empty slice when the engine is closed and drained.
 func (e *Engine) collect(w *workerState) []*job {
 	lw := e.opts.LaneWidth
@@ -882,13 +850,13 @@ func (e *Engine) popClaim(w *workerState, max int) bool {
 	return mixed
 }
 
-// executeLanes runs one claimed batch. The fast path is a single
-// lockstep pass counted as RTL attempt #1 for every lane; a lane
-// rejected by validation re-enters the per-request degradation ladder
-// (executeFrom with one attempt spent), so retry, quarantine, breaker,
-// and software-fallback semantics stay per request. Batches of one, a
-// quarantined worker, or a breaker refusing the batch all route through
-// the unchanged single-job ladder.
+// executeLanes runs one claimed batch, a lone job included. The fast
+// path is a single lockstep pass counted as RTL attempt #1 for every
+// lane; a lane rejected by validation re-enters the per-request
+// degradation ladder (executeFrom with one attempt spent), so retry,
+// quarantine, breaker, and software-fallback semantics stay per
+// request. A quarantined worker or a breaker refusing the batch routes
+// every job through that ladder from the start.
 func (e *Engine) executeLanes(w *workerState, jobs []*job) {
 	n := len(jobs)
 	// Lane-occupancy accounting for every dispatch, full or partial: how
@@ -899,7 +867,7 @@ func (e *Engine) executeLanes(w *workerState, jobs []*job) {
 	for _, j := range jobs {
 		e.spanLaneFill(j, w.id, n)
 	}
-	if n == 1 || w.quarantined || !e.brk.allowRTL(e.clock.Now()) {
+	if w.quarantined || !e.brk.allowRTL(e.clock.Now()) {
 		for _, j := range jobs {
 			e.deliver(j, e.execute(w, j))
 		}
@@ -942,27 +910,44 @@ func (e *Engine) executeLanes(w *workerState, jobs []*job) {
 	e.laneLanes.Add(int64(n))
 	e.fr.Record("lane_run", w.id, 0, 1, fmt.Sprintf("lanes=%d", n))
 	for i, j := range jobs {
-		e.spanExecute(j, w.id, 1, BackendRTL, startUS, w.lerrs[i] == nil)
-		e.spanValidate(j, w.id, w.lerrs[i] == nil)
-		if w.lerrs[i] == nil {
-			e.brk.record(false, e.clock.Now())
-			w.consecFaults = 0
+		err := w.lerrs[i]
+		e.spanExecute(j, w.id, 1, BackendRTL, startUS, err == nil)
+		e.spanValidate(j, w.id, err == nil)
+		e.noteAttempt(w, j, 1, err)
+		if err == nil {
 			e.deliver(j, Result{Point: w.outs[i], Stats: st, Backend: BackendRTL, Attempts: 1})
 			continue
 		}
-		// A detected fault in this lane only: same accounting as the
-		// single-job ladder's failed attempt, then that ladder continues.
-		e.valFailed.Inc()
-		e.valFails.Add(1)
-		e.fr.Record("lane_error", w.id, j.id, 1, w.lerrs[i].Error())
-		e.fr.Anomaly("lane_error")
-		e.brk.record(true, e.clock.Now())
-		w.consecFaults++
-		if e.opts.QuarantineAfter > 0 && w.consecFaults >= e.opts.QuarantineAfter {
-			e.noteQuarantine(w)
-		}
+		// A detected fault in this lane only: the ladder continues it.
 		e.deliver(j, e.executeFrom(w, j, 1))
 	}
+}
+
+// noteAttempt does the accounting of one RTL attempt's outcome, the
+// same for a lockstep lane and a ladder retry: the flight record (before
+// the breaker sees the outcome, so a trip's anomaly dump always contains
+// the attempt that caused it), the breaker, and this worker's
+// fault streak. It reports whether the attempt quarantined the worker.
+func (e *Engine) noteAttempt(w *workerState, j *job, attempt int, err error) bool {
+	if err == nil {
+		e.fr.Record("execute", w.id, j.id, attempt, "")
+		e.brk.record(false, e.clock.Now())
+		w.consecFaults = 0
+		return false
+	}
+	// A detected fault: the validated result never leaves the worker,
+	// only the failure accounting does.
+	e.valFailed.Inc()
+	e.valFails.Add(1)
+	e.fr.Record("validation_failed", w.id, j.id, attempt, err.Error())
+	e.fr.Anomaly("validation_failed")
+	e.brk.record(true, e.clock.Now())
+	w.consecFaults++
+	if e.opts.QuarantineAfter > 0 && w.consecFaults >= e.opts.QuarantineAfter {
+		e.noteQuarantine(w)
+		return true
+	}
+	return false
 }
 
 // execute runs one request down the degradation ladder: validated RTL
@@ -1031,26 +1016,12 @@ func (e *Engine) executeFrom(w *workerState, j *job, prior int) Result {
 			r.Attempts++
 			e.spanExecute(j, w.id, r.Attempts, BackendRTL, startUS, err == nil)
 			e.spanValidate(j, w.id, err == nil)
+			if e.noteAttempt(w, j, r.Attempts, err) {
+				break
+			}
 			if err == nil {
-				e.fr.Record("execute", w.id, j.id, r.Attempts, "")
-				e.brk.record(false, e.clock.Now())
-				w.consecFaults = 0
 				r.Point, r.Stats, r.Backend = pt, st, BackendRTL
 				return r
-			}
-			// A detected fault: the validated result never leaves the
-			// worker, only the failure accounting does. The flight record
-			// lands before the breaker sees the outcome, so a trip's
-			// anomaly dump always contains the attempt that caused it.
-			e.valFailed.Inc()
-			e.valFails.Add(1)
-			e.fr.Record("validation_failed", w.id, j.id, r.Attempts, err.Error())
-			e.fr.Anomaly("validation_failed")
-			e.brk.record(true, e.clock.Now())
-			w.consecFaults++
-			if e.opts.QuarantineAfter > 0 && w.consecFaults >= e.opts.QuarantineAfter {
-				e.noteQuarantine(w)
-				break
 			}
 			if attempt+1 < e.opts.MaxAttempts {
 				e.retries.Inc()

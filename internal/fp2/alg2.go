@@ -114,7 +114,9 @@ func fold256(v u256) (lo, hi uint64) {
 }
 
 // condSubP reduces a 128-bit folded value into [0, p) with up to two
-// conditional subtractions, the datapath's final correction stage.
+// conditional subtractions, the datapath's final correction stage. Only
+// the stage-by-stage MulAlg2Trace uses it; the row kernel reaches the
+// same canonical value through fp.SetLimbs.
 func condSubP(lo, hi uint64) fp.Element {
 	p0, p1 := fp.P()
 	for i := 0; i < 2; i++ {
@@ -194,9 +196,10 @@ func MulAlg2Trace(x, y Element) Alg2Trace {
 // mulAlg2Lean is MulAlg2 with the pipeline-trace bookkeeping stripped:
 // the same stages in the same order on the same lazy-reduction domains,
 // fused so every intermediate stays in registers instead of being
-// written into an Alg2Trace. Outputs are bit-identical to MulAlg2 by
-// construction (TestMulAlg2RowsMatchesTrace pins it exhaustively over
-// random and edge-case inputs).
+// written into an Alg2Trace, and stage 5 folded straight to canonical
+// form. Outputs are bit-identical to MulAlg2 (TestMulAlg2RowsMatchesTrace
+// pins it over random and edge-case inputs, TestFinalReductionBoundaries
+// the final reduction at every condSubP branch).
 func mulAlg2Lean(x, y Element) Element {
 	x0lo, x0hi := x.A.Limbs()
 	x1lo, x1hi := x.B.Limbs()
@@ -285,8 +288,10 @@ func mulAlg2Lean(x, y Element) Element {
 	z1lo, c = bits.Add64(z1lo, top2, 0)
 	z1hi += c
 
-	// Stage 5: final conditional subtractions into canonical form.
-	return Element{A: condSubP(z0lo, z0hi), B: condSubP(z1lo, z1hi)}
+	// Stage 5: canonical form. fp.SetLimbs is exact for any 128-bit
+	// value (a bit-127 fold plus a branchless p -> 0 select), so it gives
+	// what condSubP gives without its two conditional subtractions.
+	return Element{A: fp.SetLimbs(z0lo, z0hi), B: fp.SetLimbs(z1lo, z1hi)}
 }
 
 // mask127le keeps the low 63 bits of a high limb (bit 127 of the wide

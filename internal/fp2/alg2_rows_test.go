@@ -1,6 +1,7 @@
 package fp2
 
 import (
+	"math/bits"
 	mrand "math/rand"
 	"testing"
 
@@ -41,6 +42,59 @@ func TestMulAlg2RowsMatchesTrace(t *testing.T) {
 		if !dst[i].Equal(want) {
 			t.Fatalf("pair %d: row kernel %v != traced MulAlg2 %v for %v * %v",
 				i, dst[i], want, a[i], b[i])
+		}
+	}
+}
+
+// TestFinalReductionBoundaries pins the row kernel's stage-5 reduction
+// (fp.SetLimbs on the folded 128-bit value) to the traced model's
+// condSubP at the values where condSubP subtracts p zero, one or two
+// times, then checks that the traced pipeline's own folded values
+// reduce the same way in full products.
+func TestFinalReductionBoundaries(t *testing.T) {
+	p0, p1 := fp.P()
+	type u128 struct{ lo, hi uint64 }
+	add := func(a u128, lo uint64) u128 {
+		r, c := bits.Add64(a.lo, lo, 0)
+		return u128{r, a.hi + c}
+	}
+	p := u128{p0, p1}
+	twoP := u128{p0 << 1, p1<<1 | p0>>63}
+	cases := map[string]u128{
+		"0":         {},
+		"p-1":       {p0 - 1, p1},
+		"p":         p,
+		"p+1":       add(p, 1),
+		"2p":        twoP,
+		"2p+1":      add(twoP, 1),
+		"2^128-1":   {^uint64(0), ^uint64(0)},
+		"2^127":     {0, 1 << 63},
+		"2^127+p-1": add(u128{0, 1 << 63}, p0-1),
+	}
+	for name, v := range cases {
+		got := fp.SetLimbs(v.lo, v.hi)
+		want := condSubP(v.lo, v.hi)
+		if !got.Equal(want) {
+			t.Errorf("%s: SetLimbs = %v, condSubP = %v", name, got, want)
+		}
+	}
+
+	rng := mrand.New(mrand.NewSource(131))
+	pm1 := fp.SetLimbs(p0-1, p1)
+	ops := []Element{{}, New(fp.One(), fp.One()), New(pm1, pm1), New(pm1, fp.One()), New(fp.One(), pm1)}
+	for i := 0; i < 256; i++ {
+		ops = append(ops, randElement(rng))
+	}
+	var dst [1]Element
+	for i, x := range ops {
+		y := ops[(i*7+3)%len(ops)]
+		tr := MulAlg2Trace(x, y)
+		if !fp.SetLimbs(tr.T9Lo, tr.T9Hi).Equal(tr.Z0) || !fp.SetLimbs(tr.T10Lo, tr.T10Hi).Equal(tr.Z1) {
+			t.Fatalf("pair %d: SetLimbs on the traced folds differs from condSubP", i)
+		}
+		MulAlg2Rows(dst[:], []Element{x}, []Element{y})
+		if !dst[0].Equal(Element{A: tr.Z0, B: tr.Z1}) {
+			t.Fatalf("pair %d: row kernel %v != MulAlg2Trace %v", i, dst[0], Element{A: tr.Z0, B: tr.Z1})
 		}
 	}
 }

@@ -29,7 +29,8 @@ import (
 //     and shared read-only by every run.
 //
 // A CompiledProgram is immutable after Compile and safe for concurrent
-// use; per-run mutable state lives in Machine.
+// use; per-run mutable state lives in LaneMachine (Machine is its
+// one-lane view).
 type CompiledProgram struct {
 	prog *isa.Program
 	// byCycle groups the original instruction stream by issue cycle in

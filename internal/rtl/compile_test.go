@@ -29,10 +29,10 @@ func boundInputs(t testing.TB, cp *CompiledProgram, in map[string]fp2.Element) [
 	return bound
 }
 
-// TestCompiledMatchesInterpreter is the core differential check of the
-// tentpole: the compiled fast path and the reference interpreter must
-// agree on outputs AND on the complete statistics structure for a spread
-// of random scalars.
+// TestCompiledMatchesInterpreter is the core differential check: the
+// compiled fast path (Machine, a one-lane LaneMachine) and the reference
+// interpreter must agree on outputs AND on the complete statistics
+// structure for a spread of random scalars.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	prog, acc, table, _ := dblAddSetup(t, 21, sched.MethodList)
 	inputs := dblAddInputs(acc, table)

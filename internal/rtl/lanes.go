@@ -21,12 +21,13 @@ import (
 // pipeline value slots are flat [entry*Width + lane] arrays, so the
 // per-op lane loop touches one contiguous row. Per-lane data — the
 // recoded digits driving table indexing, the dynamic sign commands, the
-// parity-correction selects — flows through the same pre-decoded
-// selects as the single-lane fast path.
+// parity-correction selects — flows through the operands Compile
+// pre-decoded. Width 1 is the single-run fast path: Machine.Run is a
+// one-lane RunLanes.
 //
 // Error handling is per lane: a residual runtime check failing in one
-// lane records that lane's error (byte-identical to the error the
-// single-lane Machine would return) and degrades only that lane; the
+// lane records that lane's error (byte-identical to what Machine.Run
+// returns for the same input) and degrades only that lane; the
 // remaining lanes complete normally. This is sound because the checks
 // depend only on the lane's own recoded digits, never on datapath
 // values, and the written-bits state is a property of the schedule —
@@ -42,8 +43,10 @@ type LaneMachine struct {
 	// regs is the SoA register file: register r of lane l lives at
 	// regs[int(r)*width+l].
 	regs []fp2.Element
-	// vals is one result row per scheduled op (the units' pipeline
-	// registers, like Machine.vals, widened per lane).
+	// vals is one result row per scheduled op: the units' pipeline
+	// registers, widened per lane. Each op's completion cycle is static,
+	// so the interpreter's dynamic pipe-slot lists collapse into a flat
+	// array indexed by op.
 	vals []fp2.Element
 	// written is shared across lanes: instruction writes are statically
 	// addressed, so the written-bits state at any cycle is a schedule
@@ -90,8 +93,8 @@ func (lm *LaneMachine) Reg(lane int, r uint16) fp2.Element {
 // RunLanes executes one lockstep pass of the schedule over len(ins)
 // lanes (a partial final batch — fewer inputs than Width — is fine).
 // errs must have the same length as ins; on return errs[l] carries lane
-// l's failure, byte-identical to the error the single-lane Machine.Run
-// would have returned for the same input, or nil on success. A failing
+// l's failure (a bind or residual-check error; Machine.Run returns
+// exactly this for a one-lane run), or nil on success. A failing
 // lane degrades only itself: the others complete and their outputs are
 // valid. The returned Stats are the program's precomputed statistics —
 // identical for every lane, because the schedule is data-independent
@@ -133,9 +136,11 @@ func (lm *LaneMachine) RunLanes(ins []RunInput, errs []error) (Stats, error) {
 }
 
 // bindLane resets lane l's register column for a run: constants
-// reloaded, inputs bound. As on the single-lane fast path, registers
-// beyond those may hold values from the previous run; the compile-time
-// written proof (plus the shared residual checks) makes that safe.
+// reloaded, inputs bound. Registers beyond those may hold values from
+// the previous run; that is safe because the compile-time walk proved
+// every statically addressed read is preceded by a write, and
+// runtime-selected reads that could not be proven carry a written-bits
+// check.
 func (lm *LaneMachine) bindLane(l int, in *RunInput) error {
 	cp, w := lm.cp, lm.width
 	for _, c := range cp.consts {
@@ -163,9 +168,10 @@ func (lm *LaneMachine) bindLane(l int, in *RunInput) error {
 	return nil
 }
 
-// run is the lockstep cycle loop: write-back then issue each cycle, the
-// single-lane fast path's phase order with every per-op decision made
-// once and applied to all lanes.
+// run is the lockstep cycle loop: write-back then issue each cycle,
+// exactly the interpreter's phase order, with every schedule-level check
+// already discharged by Compile and every per-op decision made once and
+// applied to all lanes.
 func (lm *LaneMachine) run() {
 	cp := lm.cp
 	ops := cp.ops
@@ -201,8 +207,29 @@ func (lm *LaneMachine) run() {
 		// Issue phase.
 		for i := cc.first; i < cc.first+cc.count; i++ {
 			op := &ops[i]
-			av := lm.operandRow(&op.a, op, mulFwd, addFwd, lm.aBuf)
-			bv := lm.operandRow(&op.b, op, mulFwd, addFwd, lm.bBuf)
+			// Register reads and forwarding taps are zero-copy row views,
+			// resolved here rather than in a call: they are most operands.
+			var av, bv []fp2.Element
+			switch op.a.kind {
+			case isa.OpReg:
+				av = lm.regs[int(op.a.reg)*w : int(op.a.reg)*w+n]
+			case isa.OpFwdMul:
+				av = mulFwd
+			case isa.OpFwdAdd:
+				av = addFwd
+			default:
+				av = lm.gatherRow(&op.a, op, lm.aBuf)
+			}
+			switch op.b.kind {
+			case isa.OpReg:
+				bv = lm.regs[int(op.b.reg)*w : int(op.b.reg)*w+n]
+			case isa.OpFwdMul:
+				bv = mulFwd
+			case isa.OpFwdAdd:
+				bv = addFwd
+			default:
+				bv = lm.gatherRow(&op.b, op, lm.bBuf)
+			}
 			out := lm.vals[int(i)*w : int(i)*w+n]
 			if op.unit == isa.UnitMul {
 				// Row kernel: bit-identical to per-lane MulAlg2 without
@@ -256,21 +283,14 @@ func (lm *LaneMachine) run() {
 	}
 }
 
-// operandRow resolves one pre-decoded operand for all lanes. Statically
-// addressed reads and forwarding taps are zero-copy row views; the
-// runtime-selected kinds (table/correction) gather per lane into buf,
-// applying the residual written-bits check where Compile could not
+// gatherRow resolves one runtime-selected operand (table, ROM or
+// correction read) for all lanes: each lane's recoded digit or
+// correction flag picks its own source, gathered into buf, with the
+// residual written-bits check applied where Compile could not
 // discharge it.
-func (lm *LaneMachine) operandRow(o *cOperand, op *cOp, mulFwd, addFwd, buf []fp2.Element) []fp2.Element {
-	w, n := lm.width, lm.n
+func (lm *LaneMachine) gatherRow(o *cOperand, op *cOp, buf []fp2.Element) []fp2.Element {
+	n := lm.n
 	switch o.kind {
-	case isa.OpReg:
-		base := int(o.reg) * w
-		return lm.regs[base : base+n]
-	case isa.OpFwdMul:
-		return mulFwd
-	case isa.OpFwdAdd:
-		return addFwd
 	case isa.OpTable:
 		for l := 0; l < n; l++ {
 			rec := &lm.ins[l].Rec
@@ -310,8 +330,8 @@ func (lm *LaneMachine) operandRow(o *cOperand, op *cOp, mulFwd, addFwd, buf []fp
 // laneRead loads one lane's runtime-selected register, recording the
 // lane's first residual-check failure. A failed lane keeps executing in
 // lockstep on placeholder data (the register file column it already
-// has) so the other lanes' schedule walk is undisturbed; its error —
-// identical to the single-lane Machine's — is what the caller sees.
+// has) so the other lanes' schedule walk is undisturbed; its error is
+// what the caller sees.
 func (lm *LaneMachine) laneRead(r uint16, l int, op *cOp, check bool) fp2.Element {
 	if check {
 		if int(r) >= lm.cp.prog.NumRegs {

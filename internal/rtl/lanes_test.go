@@ -4,6 +4,7 @@ import (
 	"errors"
 	mrand "math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/curve"
@@ -54,8 +55,8 @@ func newLaneFixture(t testing.TB, seed int64, lanes int) *laneFixture {
 
 // TestLaneMachineParity is the tentpole differential: an L-lane lockstep
 // run must produce, for every lane, outputs and Stats byte-identical to
-// L independent single-lane Machine.Run calls — across several reuses of
-// the same lane machine.
+// L independent runs of the reference interpreter — across several
+// reuses of the same lane machine.
 func TestLaneMachineParity(t *testing.T) {
 	const lanes = 5
 	for trial := 0; trial < 4; trial++ {
@@ -69,26 +70,25 @@ func TestLaneMachineParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d reuse %d: %v", trial, reuse, err)
 			}
-			m := f.cp.NewMachine()
 			for l := 0; l < lanes; l++ {
 				if errs[l] != nil {
 					t.Fatalf("trial %d lane %d: unexpected lane error: %v", trial, l, errs[l])
 				}
-				wantSt, err := m.Run(f.ins[l])
+				wantOut, wantSt, err := Interpret(f.cp.Program(), f.ins[l])
 				if err != nil {
-					t.Fatalf("trial %d lane %d: single-lane: %v", trial, l, err)
+					t.Fatalf("trial %d lane %d: interpreter: %v", trial, l, err)
 				}
 				if !reflect.DeepEqual(gotSt, wantSt) {
-					t.Fatalf("trial %d lane %d: stats differ:\nlanes:  %+v\nsingle: %+v", trial, l, gotSt, wantSt)
+					t.Fatalf("trial %d lane %d: stats differ:\nlanes:       %+v\ninterpreted: %+v", trial, l, gotSt, wantSt)
 				}
 				for name := range f.cp.Program().OutputRegs {
 					r, _ := f.cp.OutputReg(name)
-					if !lm.Reg(l, r).Equal(m.Reg(r)) {
-						t.Fatalf("trial %d lane %d: output %q differs from single-lane run", trial, l, name)
+					if !lm.Reg(l, r).Equal(wantOut[name]) {
+						t.Fatalf("trial %d lane %d: output %q differs from the interpreter", trial, l, name)
 					}
 				}
 				// And the library-level truth, so lockstep cannot drift in
-				// sync with a broken single-lane path.
+				// sync with a broken interpreter.
 				want := expectedDblAdd(f.accs[l], f.tables[l], f.ks[l])
 				got := curve.Point{}
 				for name, dst := range map[string]*fp2.Element{
@@ -106,7 +106,8 @@ func TestLaneMachineParity(t *testing.T) {
 }
 
 // TestLaneMachinePartialBatch runs fewer lanes than the machine's width
-// (the engine's partial-final-batch shape) and checks parity for each.
+// (the engine's partial-final-batch shape) and checks each lane against
+// the reference interpreter.
 func TestLaneMachinePartialBatch(t *testing.T) {
 	const width = 8
 	for _, n := range []int{1, 3, width} {
@@ -116,17 +117,17 @@ func TestLaneMachinePartialBatch(t *testing.T) {
 		if _, err := lm.RunLanes(f.ins, errs); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		m := f.cp.NewMachine()
 		for l := 0; l < n; l++ {
 			if errs[l] != nil {
 				t.Fatalf("n=%d lane %d: %v", n, l, errs[l])
 			}
-			if _, err := m.Run(f.ins[l]); err != nil {
+			want, _, err := Interpret(f.cp.Program(), f.ins[l])
+			if err != nil {
 				t.Fatal(err)
 			}
 			for name := range f.cp.Program().OutputRegs {
 				r, _ := f.cp.OutputReg(name)
-				if !lm.Reg(l, r).Equal(m.Reg(r)) {
+				if !lm.Reg(l, r).Equal(want[name]) {
 					t.Fatalf("n=%d lane %d: output %q differs", n, l, name)
 				}
 			}
@@ -184,8 +185,9 @@ func checkProgram(t testing.TB) (*CompiledProgram, RunInput) {
 }
 
 // TestLaneMachineErrorIsolation drives one lane into a residual-check
-// failure: that lane's error must be byte-identical to the single-lane
-// Machine's, and every other lane's output must be untouched.
+// failure: that lane fails with the pinned compiled-path message for the
+// hazard the reference interpreter also reports, Machine.Run returns the
+// same bytes, and every other lane's output matches the interpreter.
 func TestLaneMachineErrorIsolation(t *testing.T) {
 	cp, base := checkProgram(t)
 	mkIn := func(index uint8, sign int8) RunInput {
@@ -212,23 +214,26 @@ func TestLaneMachineErrorIsolation(t *testing.T) {
 	}
 	outReg, _ := cp.OutputReg("out")
 	for _, l := range []int{0, 2} {
-		m := cp.NewMachine()
-		if _, err := m.Run(ins[l]); err != nil {
-			t.Fatalf("single-lane reference for lane %d: %v", l, err)
+		want, _, err := Interpret(cp.Program(), ins[l])
+		if err != nil {
+			t.Fatalf("interpreter reference for lane %d: %v", l, err)
 		}
-		if !lm.Reg(l, outReg).Equal(m.Reg(outReg)) {
+		if !lm.Reg(l, outReg).Equal(want["out"]) {
 			t.Fatalf("lane %d output corrupted by its neighbour's failure", l)
 		}
 	}
-	// Error parity: the failing lane's error string matches what the
-	// single-lane machine returns for the same input.
-	m := cp.NewMachine()
-	_, wantErr := m.Run(ins[1])
-	if wantErr == nil {
-		t.Fatal("single-lane reference unexpectedly succeeded")
+	// The interpreter trips the same hazard on the same register; the
+	// compiled path's message (lane and one-lane Machine alike) is pinned.
+	_, _, refErr := Interpret(cp.Program(), ins[1])
+	if !errors.Is(refErr, ErrHazard) || !strings.HasSuffix(refErr.Error(), "read of never-written register 2") {
+		t.Fatalf("interpreter reference error = %v, want the never-written read of r2", refErr)
 	}
-	if errs[1].Error() != wantErr.Error() {
-		t.Fatalf("lane error %q != single-lane error %q", errs[1], wantErr)
+	const wantMsg = `op "out:=tbl+a": rtl: structural hazard: read of never-written register 2`
+	if errs[1].Error() != wantMsg {
+		t.Fatalf("lane error %q, want %q", errs[1], wantMsg)
+	}
+	if _, err := cp.NewMachine().Run(ins[1]); err == nil || err.Error() != wantMsg {
+		t.Fatalf("Machine.Run error %v, want %q", err, wantMsg)
 	}
 }
 
@@ -256,18 +261,18 @@ func TestMachineRunResetsResidualState(t *testing.T) {
 	if _, err := m.Run(bad); err == nil || !errors.Is(err, ErrHazard) {
 		t.Fatalf("reused machine did not reset written bits: err = %v", err)
 	}
-	// Run 3 after the aborted run must be bit-identical to a fresh
-	// machine: no pipeline value slot or register residue.
+	// Run 3 after the aborted run must be bit-identical to the
+	// reference interpreter: no pipeline value slot or register residue.
 	if _, err := m.Run(good); err != nil {
 		t.Fatal(err)
 	}
-	fresh := cp.NewMachine()
-	if _, err := fresh.Run(good); err != nil {
+	want, _, err := Interpret(cp.Program(), good)
+	if err != nil {
 		t.Fatal(err)
 	}
 	outReg, _ := cp.OutputReg("out")
-	if !m.Reg(outReg).Equal(fresh.Reg(outReg)) {
-		t.Fatal("run after an aborted run differs from a fresh machine")
+	if !m.Reg(outReg).Equal(want["out"]) {
+		t.Fatal("run after an aborted run differs from the interpreter")
 	}
 }
 
@@ -315,7 +320,7 @@ func TestLaneMachineZeroAllocs(t *testing.T) {
 }
 
 // FuzzLaneMachineParity cross-checks lockstep execution against the
-// single-lane machine for random lane counts and scalars. The seed
+// reference interpreter for random lane counts and scalars. The seed
 // corpus covers the degenerate single lane and the full width.
 func FuzzLaneMachineParity(f *testing.F) {
 	const maxLanes = 8
@@ -328,7 +333,6 @@ func FuzzLaneMachineParity(f *testing.F) {
 	}
 	bound := boundInputs(f, cp, dblAddInputs(acc, table))
 	lm := cp.NewLaneMachine(maxLanes)
-	m := cp.NewMachine()
 	f.Fuzz(func(t *testing.T, lanes uint8, seed uint64) {
 		n := int(lanes%maxLanes) + 1
 		s := seed
@@ -351,7 +355,7 @@ func FuzzLaneMachineParity(f *testing.F) {
 			t.Fatal(err)
 		}
 		for l := 0; l < n; l++ {
-			wantSt, err := m.Run(ins[l])
+			wantOut, wantSt, err := Interpret(prog, ins[l])
 			if err != nil || errs[l] != nil {
 				t.Fatalf("lane %d: errors %v / %v", l, errs[l], err)
 			}
@@ -360,8 +364,8 @@ func FuzzLaneMachineParity(f *testing.F) {
 			}
 			for name := range prog.OutputRegs {
 				r, _ := cp.OutputReg(name)
-				if !lm.Reg(l, r).Equal(m.Reg(r)) {
-					t.Fatalf("lane %d: output %q diverges from the single-lane machine", l, name)
+				if !lm.Reg(l, r).Equal(wantOut[name]) {
+					t.Fatalf("lane %d: output %q diverges from the interpreter", l, name)
 				}
 			}
 		}

@@ -1,249 +1,79 @@
 package rtl
 
 import (
-	"fmt"
-
-	"repro/internal/fp"
 	"repro/internal/fp2"
-	"repro/internal/isa"
-	"repro/internal/scalar"
 )
 
 // Machine is the reusable mutable state for executing one compiled
-// program: the register file, the written bits, and one value slot per
-// scheduled operation standing in for the units' pipeline registers
-// (each op's completion cycle is static, so the dynamic pipe-slot lists
-// of the interpreter collapse into a flat array indexed by op).
+// program one scalar multiplication at a time. Its fast path is a
+// width-1 LaneMachine: a single run walks the same lockstep loop and
+// Algorithm 2 row kernel as a batch, so there is one compiled execution
+// path whatever the batch size. Runs with an Observer or Injector take
+// the reference interpreter instead, on the same register file.
 //
 // A Machine is NOT safe for concurrent use; give each goroutine its own
-// (each core.Executor and engine worker owns one). Steady-state Run on
-// the fast path performs zero heap allocations: bind inputs with
-// RunInput.Bound and read outputs back with Reg + CompiledProgram's
-// OutputReg.
+// (each core.Executor owns one). Steady-state Run on the fast path
+// performs zero heap allocations: bind inputs with RunInput.Bound and
+// read outputs back with Reg + CompiledProgram's OutputReg.
 type Machine struct {
-	cp      *CompiledProgram
-	regs    []fp2.Element
-	written []bool
-	vals    []fp2.Element // one result slot per op, indexed like cp.ops
-	// slow is the lazily built reference interpreter sharing this
-	// machine's register file; it serves runs with an Observer or
-	// Injector attached, preserving the interpreter's exact event and
-	// hook semantics.
+	lanes *LaneMachine
+	// in/errs are the one-lane argument slots handed to RunLanes, kept
+	// here so a run builds no slices.
+	in   [1]RunInput
+	errs [1]error
+	// slow is the lazily built reference interpreter sharing the lane
+	// machine's register file (width 1 makes its layout the plain
+	// register array); it serves runs with an Observer or Injector
+	// attached, preserving the interpreter's exact event and hook
+	// semantics.
 	slow *machine
 }
 
 // NewMachine allocates a machine for the compiled program.
 func (cp *CompiledProgram) NewMachine() *Machine {
-	return &Machine{
-		cp:      cp,
-		regs:    make([]fp2.Element, cp.prog.NumRegs),
-		written: make([]bool, cp.prog.NumRegs),
-		vals:    make([]fp2.Element, len(cp.ops)),
-	}
+	return &Machine{lanes: cp.NewLaneMachine(1)}
 }
 
 // Program returns the machine's compiled program.
-func (m *Machine) Program() *CompiledProgram { return m.cp }
+func (m *Machine) Program() *CompiledProgram { return m.lanes.cp }
 
 // Reg reads a register-file word (no port accounting); resolve output
 // registers once with CompiledProgram.OutputReg.
-func (m *Machine) Reg(r uint16) fp2.Element { return m.regs[r] }
+func (m *Machine) Reg(r uint16) fp2.Element { return m.lanes.regs[r] }
 
 // Run executes one scalar multiplication worth of the program. With no
-// Observer and no Injector it takes the compiled fast path: bind
-// constants and inputs, run the dense issue/retire table with all
-// statically proven checks elided, and return the precomputed Stats
-// (whose IssuesByOpcode map is shared across runs — read-only).
-// Otherwise it falls back to the reference interpreter on this machine's
-// buffers, with byte-identical event ordering and injection hooks.
+// Observer and no Injector it is a one-lane RunLanes: the error is the
+// lane's (a bind or residual-check failure) and the Stats are the
+// program's precomputed ones, whose IssuesByOpcode map is shared across
+// runs — read-only. Otherwise it falls back to the reference
+// interpreter on this machine's buffers, with byte-identical event
+// ordering and injection hooks.
 func (m *Machine) Run(in RunInput) (Stats, error) {
 	if in.Observer != nil || in.Injector != nil {
 		return m.runSlow(in)
 	}
-	if err := m.bind(in); err != nil {
+	m.in[0] = in
+	st, err := m.lanes.RunLanes(m.in[:], m.errs[:])
+	m.in[0] = RunInput{} // do not retain the caller's bindings
+	if err == nil {
+		err = m.errs[0]
+	}
+	if err != nil {
 		return Stats{}, err
 	}
-	if err := m.runFast(&in.Rec, in.Corrected); err != nil {
-		return Stats{}, err
-	}
-	return m.cp.stats, nil
-}
-
-// bind resets the register file for a fast-path run: constants reloaded,
-// inputs bound (by register when Bound is set, by name otherwise), and
-// the written-bits template restored when residual runtime checks need
-// it. Registers beyond those may hold values from the previous run;
-// that is safe because the compile-time walk proved every statically
-// addressed read is preceded by a write, and runtime-selected reads that
-// could not be proven carry a written-bits check.
-func (m *Machine) bind(in RunInput) error {
-	cp := m.cp
-	for _, c := range cp.consts {
-		m.regs[c.reg] = c.val
-	}
-	if cp.trackWritten {
-		copy(m.written, cp.initWritten)
-	}
-	if in.Bound != nil {
-		if len(in.Bound) != len(cp.inputs) {
-			return fmt.Errorf("rtl: %d bound inputs for a program with %d inputs", len(in.Bound), len(cp.inputs))
-		}
-		for _, b := range in.Bound {
-			if int(b.Reg) >= len(m.regs) {
-				return fmt.Errorf("rtl: bound input register %d out of range", b.Reg)
-			}
-			m.regs[b.Reg] = b.Val
-		}
-		return nil
-	}
-	for _, slot := range cp.inputs {
-		v, ok := in.Inputs[slot.name]
-		if !ok {
-			return fmt.Errorf("rtl: missing input %q", slot.name)
-		}
-		m.regs[slot.reg] = v
-	}
-	return nil
-}
-
-// runFast is the compiled cycle loop: write-back then issue each cycle,
-// exactly the interpreter's phase order, with every schedule-level check
-// already discharged by Compile.
-func (m *Machine) runFast(rec *scalar.Recoded, corrected bool) error {
-	cp := m.cp
-	ops := cp.ops
-	vals := m.vals
-	regs := m.regs
-	track := cp.trackWritten
-	var mulOut, addOut fp2.Element
-	for c := range cp.cycles {
-		cc := &cp.cycles[c]
-		// Write-back phase: the retiring result reaches the forwarding
-		// port always, the register file unless elided.
-		if i := cc.retMul; i >= 0 {
-			mulOut = vals[i]
-			if op := &ops[i]; !op.noWB {
-				regs[op.dst] = mulOut
-				if track {
-					m.written[op.dst] = true
-				}
-			}
-		}
-		if i := cc.retAdd; i >= 0 {
-			addOut = vals[i]
-			if op := &ops[i]; !op.noWB {
-				regs[op.dst] = addOut
-				if track {
-					m.written[op.dst] = true
-				}
-			}
-		}
-		// Issue phase.
-		for i := cc.first; i < cc.first+cc.count; i++ {
-			op := &ops[i]
-			a, err := m.operand(&op.a, op, rec, corrected, &mulOut, &addOut)
-			if err != nil {
-				return err
-			}
-			b, err := m.operand(&op.b, op, rec, corrected, &mulOut, &addOut)
-			if err != nil {
-				return err
-			}
-			if op.unit == isa.UnitMul {
-				vals[i] = fp2.MulAlg2(a, b)
-				continue
-			}
-			subRe, subIm := op.subRe, op.subIm
-			if op.dynSign {
-				neg := corrected
-				if op.digit != isa.DigitCorr {
-					neg = rec.Sign[op.digit] < 0
-				}
-				subRe, subIm = neg, neg
-			}
-			var r fp2.Element
-			if subRe {
-				r.A = fp.Sub(a.A, b.A)
-			} else {
-				r.A = fp.Add(a.A, b.A)
-			}
-			if subIm {
-				r.B = fp.Sub(a.B, b.B)
-			} else {
-				r.B = fp.Add(a.B, b.B)
-			}
-			vals[i] = r
-		}
-	}
-	return nil
-}
-
-// operand resolves a pre-decoded operand. Statically proven kinds are
-// straight loads; runtime-selected table/correction reads apply the
-// precompiled register choice, plus a written-bits check when Compile
-// could not prove the target initialized.
-func (m *Machine) operand(o *cOperand, op *cOp, rec *scalar.Recoded, corrected bool, mulOut, addOut *fp2.Element) (fp2.Element, error) {
-	switch o.kind {
-	case isa.OpReg:
-		return m.regs[o.reg], nil
-	case isa.OpFwdMul:
-		return *mulOut, nil
-	case isa.OpFwdAdd:
-		return *addOut, nil
-	case isa.OpTable:
-		r := o.tblPos[rec.Index[o.digit]]
-		if rec.Sign[o.digit] < 0 {
-			r = o.tblNeg[rec.Index[o.digit]]
-		}
-		if o.check {
-			if err := m.checkRead(r, op); err != nil {
-				return fp2.Element{}, err
-			}
-		}
-		return m.regs[r], nil
-	case isa.OpROM:
-		r := o.tblPos[rec.Index[o.digit]]
-		if rec.Sign[o.digit] < 0 {
-			r = o.tblNeg[rec.Index[o.digit]]
-		}
-		return m.cp.rom[r], nil
-	case isa.OpCorr:
-		r := o.identReg
-		if corrected {
-			r = o.corrReg
-		}
-		if o.check {
-			if err := m.checkRead(r, op); err != nil {
-				return fp2.Element{}, err
-			}
-		}
-		return m.regs[r], nil
-	}
-	// Compile rejects every other kind.
-	panic("rtl: unreachable operand kind on compiled path")
-}
-
-// checkRead is the residual runtime hazard check for operands whose
-// register selection could not be statically proven safe.
-func (m *Machine) checkRead(r uint16, op *cOp) error {
-	if int(r) >= len(m.regs) {
-		return fmt.Errorf("op %q: %w: register %d out of range", op.label, ErrHazard, r)
-	}
-	if !m.written[r] {
-		return fmt.Errorf("op %q: %w: read of never-written register %d", op.label, ErrHazard, r)
-	}
-	return nil
+	return st, nil
 }
 
 // runSlow executes via the reference interpreter on this machine's
 // register file (so outputs land in the same place as the fast path).
 func (m *Machine) runSlow(in RunInput) (Stats, error) {
 	if m.slow == nil {
+		cp := m.lanes.cp
 		m.slow = &machine{
-			prog:    m.cp.prog,
-			regs:    m.regs,
-			written: m.written,
-			byCycle: m.cp.byCycle,
+			prog:    cp.prog,
+			regs:    m.lanes.regs,
+			written: m.lanes.written,
+			byCycle: cp.byCycle,
 		}
 	}
 	return m.slow.run(in)

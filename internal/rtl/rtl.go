@@ -12,11 +12,12 @@
 //
 // Execution comes in two forms:
 //
-//   - Compile + Machine: an ahead-of-time pass (Compile) validates the
-//     immutable program once, hoists every data-independent check and
-//     statistic out of the cycle loop, and produces a dense execution
-//     plan; a reusable Machine then runs scalar multiplications with
-//     zero steady-state heap allocations. This mirrors the paper's
+//   - Compile + LaneMachine: an ahead-of-time pass (Compile) validates
+//     the immutable program once, hoists every data-independent check
+//     and statistic out of the cycle loop, and produces a dense
+//     execution plan; a reusable LaneMachine then runs up to its width
+//     of scalar multiplications in lockstep (Machine is its one-lane
+//     view) with zero steady-state heap allocations. This mirrors the paper's
 //     hardware, whose ROM/FSM controller is fixed at tape-out: the
 //     schedule's structural properties are facts of the program, not of
 //     any particular run (Section III-C).
@@ -28,8 +29,8 @@
 //     byte-for-byte those of the original interpreter.
 //
 // Run remains the convenience entry point: it compiles the program and
-// executes it on a fresh machine, dispatching to the fast compiled loop
-// when no Observer or Injector is attached.
+// executes it on a fresh machine, dispatching to the one-lane lockstep
+// loop when no Observer or Injector is attached.
 package rtl
 
 import (
@@ -228,8 +229,8 @@ func buildByCycle(p *isa.Program) [][]isa.Instr {
 
 // Run executes the program and returns the named outputs. It is a thin
 // compile-then-execute wrapper: the program is validated and planned
-// once (Compile), then run on a fresh Machine — the fast compiled loop
-// when no Observer/Injector is attached, the reference interpreter
+// once (Compile), then run on a fresh Machine — the one-lane lockstep
+// loop when no Observer/Injector is attached, the reference interpreter
 // otherwise. Callers executing the same program many times should
 // Compile once and reuse a Machine instead.
 func Run(p *isa.Program, in RunInput) (map[string]fp2.Element, Stats, error) {
