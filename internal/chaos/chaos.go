@@ -17,7 +17,8 @@
 //     stays zero through every overload and failure;
 //   - bounded recovery: after the fault window closes, shard health
 //     returns above threshold within a bound, and post-fault goodput
-//     recovers to ≥ 90% of the pre-fault phase.
+//     recovers to ≥ 90% of a never-faulted twin fleet's, measured in
+//     alternating bursts so host-speed drift cancels out.
 //
 // Campaigns are replayable from their seed: the workload (scalars,
 // keys, messages, traffic mix) is derived from Options.Seed, and each
@@ -40,7 +41,8 @@ type Options struct {
 	Seed int64
 	// Scenarios filters which scenarios run (by Name). Empty runs all.
 	Scenarios []string
-	// Requests is the per-measured-phase request count. Defaults to 60.
+	// Requests is the per-phase request count. Defaults to 60. The
+	// recovery comparison is timed instead (recoveryWindow).
 	Requests int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -78,7 +80,9 @@ type ScenarioResult struct {
 	// healthy again (absent when the scenario ends inside the fault,
 	// e.g. drain-during-failure).
 	RecoveryMS *float64 `json:"recovery_ms,omitempty"`
-	// RecoveryRatio is post-fault goodput over pre-fault goodput.
+	// RecoveryRatio is post-fault goodput over the goodput of a
+	// never-faulted twin fleet of the same configuration, driven in
+	// alternating bursts (the best of up to four pairs).
 	RecoveryRatio *float64 `json:"recovery_ratio,omitempty"`
 	Violations    []string `json:"violations"`
 }
@@ -129,8 +133,18 @@ func ScenarioNames() []string {
 // clears, to score every shard healthy again.
 const recoveryBound = 10 * time.Second
 
-// recoveryFloor is the minimum post-fault/pre-fault goodput ratio.
+// recoveryFloor is the minimum post-fault/twin-fleet goodput ratio.
 const recoveryFloor = 0.9
+
+// recoveryWindow is how long one recovery comparison drives each fleet,
+// in recoverySlices alternating slices. The comparison is timed, not
+// counted: fixed-count bursts shrink as the engine gets faster, and a
+// burst of a few milliseconds measures the scheduler more than the
+// fleet.
+const (
+	recoveryWindow = 150 * time.Millisecond
+	recoverySlices = 15
+)
 
 // Run executes the campaign and returns the aggregated report. A
 // non-nil error means the harness itself failed; invariant breaches are

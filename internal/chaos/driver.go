@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,8 +71,6 @@ type harness struct {
 	mis        int
 	violations []string
 
-	preGoodput    float64
-	postGoodput   float64
 	recoveryMS    *float64
 	recoveryRatio *float64
 }
@@ -264,17 +261,17 @@ func (h *harness) record(phase string, o outcome) {
 // handler, classifying every response into the named phase bucket, and
 // returns the bucket's accumulated stats.
 func (h *harness) phase(name string, n, conc int, timeout time.Duration, tenants int) PhaseStats {
-	h.burst(name, n, conc, timeout, tenants)
+	h.burst(name, n, 0, conc, timeout, tenants)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.phases[name]
 }
 
-// burst drives one traffic burst into a phase bucket and returns that
-// burst's own goodput (OK delta over its own wall time) — the unit the
-// recovery measurement compares, independent of whatever else has
-// accumulated in the bucket.
-func (h *harness) burst(name string, n, conc int, timeout time.Duration, tenants int) float64 {
+// burst drives one traffic burst of at least n requests, lasting at
+// least window, into a phase bucket and returns that burst's own OK
+// count and wall seconds — the units the recovery measurement pools,
+// independent of whatever else has accumulated in the bucket.
+func (h *harness) burst(name string, n int, window time.Duration, conc int, timeout time.Duration, tenants int) (ok int, wall float64) {
 	if conc <= 0 {
 		conc = 4
 	}
@@ -290,7 +287,7 @@ func (h *harness) burst(name string, n, conc int, timeout time.Duration, tenants
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= n && time.Since(start) >= window {
 					return
 				}
 				it := h.work[i%len(h.work)]
@@ -299,12 +296,9 @@ func (h *harness) burst(name string, n, conc int, timeout time.Duration, tenants
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(start).Seconds()
+	wall = time.Since(start).Seconds()
 	st := h.addWall(name, wall)
-	if wall <= 0 {
-		return 0
-	}
-	return float64(st.OK-okBefore) / wall
+	return st.OK - okBefore, wall
 }
 
 // addWall accumulates measured wall time into a phase bucket and
@@ -327,6 +321,13 @@ func tenantName(i, tenants int) string {
 		return ""
 	}
 	return fmt.Sprintf("tenant-%d", i%tenants)
+}
+
+// shed reads a phase's client-side shed tally mid-phase.
+func (h *harness) shed(phase string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.phases[phase].Shed
 }
 
 // trickleOne sends a single request into the named phase bucket —
@@ -372,49 +373,63 @@ func (h *harness) awaitRecovery(phase string) bool {
 	return false
 }
 
-// measurePre estimates the healthy-fleet goodput baseline as the
-// median of three bursts. Single test-sized bursts jitter hard under
-// GC and the race detector; the median throws away the one burst that
-// caught a pause (in either direction), so the baseline the recovery
-// ratio divides by is not itself an outlier. Each burst starts from a
-// leveled collector (runtime.GC()) so bursts are comparable.
-func (h *harness) measurePre(name string, n, conc, tenants int) float64 {
-	var rps [3]float64
-	for i := range rps {
-		runtime.GC()
-		rps[i] = h.burst(name, n, conc, 0, tenants)
-	}
-	sort.Float64s(rps[:])
-	h.preGoodput = rps[1]
-	return rps[1]
-}
-
-// measureRecovery drives post-fault measurement bursts and records the
-// post/pre goodput ratio, keeping the best burst of up to four: a
-// recovered fleet only has to produce one clean burst above the floor,
+// measureRecovery compares post-fault goodput with a twin fleet: a
+// second server built from twin, the scenario's configuration with its
+// own fault switches that never fire. One comparison drives the two in
+// recoverySlices alternating slices each, recoveryWindow per fleet in
+// all, and divides the pooled post-fault goodput by the pooled twin
+// goodput. A change in host speed since the pre-fault phase (contention
+// from other processes, a slower speed state) therefore moves both
+// sides of the ratio alike, and the ratio averages over scheduler noise
+// however fast the engine answers. It keeps the best of up to four
+// comparisons: a recovered fleet only has to produce one at the floor,
 // while a fleet that genuinely lost capacity stays below it on every
 // try.
-func (h *harness) measureRecovery(pre float64, n, conc, tenants int) {
-	if pre <= 0 {
-		h.violate("pre-fault phase recorded no goodput to recover against")
+func (h *harness) measureRecovery(twin serve.Options, n, conc, tenants int) {
+	tw := &harness{
+		name:   h.name + "/twin",
+		opts:   h.opts,
+		work:   h.work,
+		phases: make(map[string]PhaseStats),
+		walls:  make(map[string]float64),
+	}
+	if err := tw.start(twin); err != nil {
+		h.violate("twin fleet failed to start: %v", err)
 		return
 	}
+	defer tw.srv.Close()
+	tw.phase("warmup", n/2, conc, 0, tenants)
+	slice := recoveryWindow / recoverySlices
 	best := 0.0
-	for i := 0; i < 4; i++ {
+	for round := 0; round < 4 && best < recoveryFloor; round++ {
 		runtime.GC()
-		if rps := h.burst("post", n, conc, 0, tenants); rps > best {
-			best = rps
+		var postOK, baseOK int
+		var postWall, baseWall float64
+		for s := 0; s < recoverySlices; s++ {
+			// Alternate which fleet leads, so neither always runs second.
+			for k := 0; k < 2; k++ {
+				if (round+s+k)%2 == 0 {
+					ok, wall := h.burst("post", conc, slice, conc, 0, tenants)
+					postOK, postWall = postOK+ok, postWall+wall
+				} else {
+					ok, wall := tw.burst("base", conc, slice, conc, 0, tenants)
+					baseOK, baseWall = baseOK+ok, baseWall+wall
+				}
+			}
 		}
-		if best >= recoveryFloor*pre {
-			break
+		if baseOK == 0 {
+			h.violate("twin fleet recorded no goodput to compare against")
+			return
 		}
+		best = max(best, (float64(postOK)/postWall)/(float64(baseOK)/baseWall))
 	}
-	h.postGoodput = best
-	ratio := best / pre
-	h.recoveryRatio = &ratio
-	if ratio < recoveryFloor {
-		h.violate("post-fault goodput recovered to only %.0f%% of pre-fault (floor %.0f%%)",
-			100*ratio, 100*recoveryFloor)
+	if tw.mis != 0 {
+		h.violate("%d twin fleet responses disagreed with the software oracle", tw.mis)
+	}
+	h.recoveryRatio = &best
+	if best < recoveryFloor {
+		h.violate("post-fault goodput recovered to only %.0f%% of the twin fleet's (floor %.0f%%)",
+			100*best, 100*recoveryFloor)
 	}
 }
 

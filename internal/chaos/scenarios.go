@@ -45,6 +45,18 @@ func poisonedShardZero(armed *atomic.Bool, reg *telemetry.Registry) func(int, en
 	}
 }
 
+// wedge returns an engine ExecHook that blocks every worker reaching it
+// while stall holds a gate channel, until that channel is closed. The
+// workers have work claimed, so a wedge backs the queue up without
+// dropping anything.
+func wedge(stall *atomic.Pointer[chan struct{}]) func(int) {
+	return func(worker int) {
+		if ch := stall.Load(); ch != nil {
+			<-*ch
+		}
+	}
+}
+
 // runFaultyShard drives the full degradation ladder on one shard: a
 // persistent datapath fault poisons shard 0 mid-campaign, validation
 // catches every corruption (so clients keep getting right answers on
@@ -52,24 +64,25 @@ func poisonedShardZero(armed *atomic.Bool, reg *telemetry.Registry) func(int, en
 // rebuilds the shard, and once the fault clears the fleet recovers to
 // pre-fault goodput.
 func runFaultyShard(h *harness) {
+	fleet := func(armed *atomic.Bool, reg *telemetry.Registry) serve.Options {
+		return fastSupervision(serve.Options{
+			Shards:   2,
+			Registry: reg,
+			Engine: engine.Options{
+				Workers: 2, MaxAttempts: 2, QuarantineAfter: 2,
+				BreakerWindow: 4, BreakerThreshold: 0.75,
+			},
+			ShardEngine: poisonedShardZero(armed, reg),
+		})
+	}
 	var armed atomic.Bool
-	reg := telemetry.NewRegistry()
-	err := h.start(fastSupervision(serve.Options{
-		Shards:   2,
-		Registry: reg,
-		Engine: engine.Options{
-			Workers: 2, MaxAttempts: 2, QuarantineAfter: 2,
-			BreakerWindow: 4, BreakerThreshold: 0.75,
-		},
-		ShardEngine: poisonedShardZero(&armed, reg),
-	}))
-	if err != nil {
+	if err := h.start(fleet(&armed, telemetry.NewRegistry())); err != nil {
 		h.violate("server failed to start: %v", err)
 		return
 	}
 	n := h.opts.Requests
 	h.phase("warmup", n/2, 4, 0, 0)
-	pre := h.measurePre("pre", n, 4, 0)
+	h.phase("pre", n, 4, 0, 0)
 
 	armed.Store(true)
 	h.phase("during", n, 4, 0, 0)
@@ -89,7 +102,7 @@ func runFaultyShard(h *harness) {
 
 	h.awaitRecovery("recover")
 	h.phase("settle", n/2, 4, 0, 0) // absorb rebuild/teardown turbulence unmeasured
-	h.measureRecovery(pre, n, 4, 0)
+	h.measureRecovery(fleet(new(atomic.Bool), telemetry.NewRegistry()), n, 4, 0)
 }
 
 // runStalledShard wedges shard 0's workers inside the engine's
@@ -98,29 +111,27 @@ func runFaultyShard(h *harness) {
 // supervisor's queue-age signal ejects the stalled one. The wedge is
 // released after a bounded window so claimed jobs resolve exactly once.
 func runStalledShard(h *harness) {
-	var stall atomic.Pointer[chan struct{}]
-	err := h.start(fastSupervision(serve.Options{
-		Shards:     2,
-		Engine:     engine.Options{Workers: 2, QueueDepth: 64},
-		HedgeDelay: 20 * time.Millisecond,
-		ShardEngine: func(shardID int, o engine.Options) engine.Options {
-			if shardID == 0 {
-				o.ExecHook = func(worker int) {
-					if ch := stall.Load(); ch != nil {
-						<-*ch
-					}
+	fleet := func(stall *atomic.Pointer[chan struct{}]) serve.Options {
+		return fastSupervision(serve.Options{
+			Shards:     2,
+			Engine:     engine.Options{Workers: 2, QueueDepth: 64},
+			HedgeDelay: 20 * time.Millisecond,
+			ShardEngine: func(shardID int, o engine.Options) engine.Options {
+				if shardID == 0 {
+					o.ExecHook = wedge(stall)
 				}
-			}
-			return o
-		},
-	}))
-	if err != nil {
+				return o
+			},
+		})
+	}
+	var stall atomic.Pointer[chan struct{}]
+	if err := h.start(fleet(&stall)); err != nil {
 		h.violate("server failed to start: %v", err)
 		return
 	}
 	n := h.opts.Requests
 	h.phase("warmup", n/2, 4, 0, 0)
-	pre := h.measurePre("pre", n, 4, 0)
+	h.phase("pre", n, 4, 0, 0)
 
 	gate := make(chan struct{})
 	stall.Store(&gate)
@@ -146,7 +157,7 @@ func runStalledShard(h *harness) {
 	}
 	h.awaitRecovery("recover")
 	h.phase("settle", n/2, 4, 0, 0) // absorb wedge-release/teardown turbulence unmeasured
-	h.measureRecovery(pre, n, 4, 0)
+	h.measureRecovery(fleet(new(atomic.Pointer[chan struct{}])), n, 4, 0)
 }
 
 // skewClock is a serve.Clock whose Now jumps by an adjustable offset
@@ -168,22 +179,24 @@ func (c *skewClock) After(d time.Duration) <-chan time.Time { return time.After(
 // answers: token buckets self-heal, admission keeps answering, and
 // goodput recovers once the clock is sane again.
 func runClockSkew(h *harness) {
+	fleet := func(clk *skewClock) serve.Options {
+		return fastSupervision(serve.Options{
+			Shards:          2,
+			Engine:          engine.Options{Workers: 2},
+			Clock:           clk,
+			DefaultTenant:   &serve.TenantLimit{Rate: 5000, Burst: 64},
+			TenantCacheSize: 16,
+			TenantIdleTTL:   time.Minute,
+		})
+	}
 	clk := &skewClock{}
-	err := h.start(fastSupervision(serve.Options{
-		Shards:          2,
-		Engine:          engine.Options{Workers: 2},
-		Clock:           clk,
-		DefaultTenant:   &serve.TenantLimit{Rate: 5000, Burst: 64},
-		TenantCacheSize: 16,
-		TenantIdleTTL:   time.Minute,
-	}))
-	if err != nil {
+	if err := h.start(fleet(clk)); err != nil {
 		h.violate("server failed to start: %v", err)
 		return
 	}
 	n := h.opts.Requests
 	h.phase("warmup", n/2, 4, 0, 3)
-	pre := h.measurePre("pre", n, 4, 3)
+	h.phase("pre", n, 4, 0, 3)
 
 	clk.offset.Store(int64(time.Hour))
 	h.manualFaults.Add(1)
@@ -196,40 +209,59 @@ func runClockSkew(h *harness) {
 	clk.offset.Store(0)
 	h.awaitRecovery("recover")
 	h.phase("settle", n/2, 4, 0, 3) // one request per bucket re-anchors its refill clock
-	h.measureRecovery(pre, n, 4, 3)
+	h.measureRecovery(fleet(&skewClock{}), n, 4, 3)
 }
 
 // runSaturation offers load far past the shed high-water mark of a
 // deliberately small engine queue. The invariant under overload is the
 // layering: admission sheds (503) strictly before the engine's own
 // backpressure can fire — serve.engine_rejected stays zero — and
-// goodput returns to baseline the moment the burst ends. The queue depth
-// of 4 (a shed limit of 2 weight per shard) keeps the burst past the
-// mark: at depth 8 the workers drained it about as fast as 32 clients
-// could offer it, and some runs shed nothing.
+// goodput returns to baseline the moment the burst ends. The engine
+// workers are held in ExecHook while the burst arrives, until admission
+// has shed (bounded): requests are then only admitted, never answered,
+// so the outstanding weight must cross the mark however fast the engine
+// is. Without the hold the 32 clients, sharing the CPU with the
+// engine, did not always get ahead of it, and some runs shed nothing.
 func runSaturation(h *harness) {
-	err := h.start(serve.Options{
-		Shards:             2,
-		Engine:             engine.Options{Workers: 1, QueueDepth: 4},
-		ShedHighWater:      0.5,
-		SupervisorInterval: 10 * time.Millisecond,
-	})
-	if err != nil {
+	fleet := func(hold *atomic.Pointer[chan struct{}]) serve.Options {
+		return serve.Options{
+			Shards:             2,
+			Engine:             engine.Options{Workers: 1, QueueDepth: 8, ExecHook: wedge(hold)},
+			ShedHighWater:      0.5,
+			SupervisorInterval: 10 * time.Millisecond,
+		}
+	}
+	var hold atomic.Pointer[chan struct{}]
+	if err := h.start(fleet(&hold)); err != nil {
 		h.violate("server failed to start: %v", err)
 		return
 	}
 	n := h.opts.Requests
 	h.phase("warmup", n/2, 4, 0, 0)
-	pre := h.measurePre("pre", n, 4, 0)
+	h.phase("pre", n, 4, 0, 0)
 
+	gate := make(chan struct{})
+	hold.Store(&gate)
 	h.manualFaults.Add(1)
-	burst := h.phase("burst", 4*n, 32, 0, 0)
+	done := make(chan struct{})
+	var burst PhaseStats
+	go func() {
+		burst = h.phase("burst", 4*n, 32, 0, 0)
+		close(done)
+	}()
+	deadline := time.Now().Add(recoveryBound)
+	for h.shed("burst") == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	hold.Store(nil)
+	close(gate)
+	<-done
 	if burst.Shed == 0 {
 		h.violate("saturation burst was never shed (admission control idle)")
 	}
 
 	h.phase("settle", n/2, 4, 0, 0) // let the queues fully drain unmeasured
-	h.measureRecovery(pre, n, 4, 0)
+	h.measureRecovery(fleet(new(atomic.Pointer[chan struct{}])), n, 4, 0)
 }
 
 // runDrainDuringFailure starts a graceful drain while a datapath fault

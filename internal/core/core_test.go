@@ -76,31 +76,41 @@ func TestPowerModelPlausibleFrequency(t *testing.T) {
 	t.Logf("derived Fmax(1.2V) = %.1f MHz for %d cycles/SM", f/1e6, p.CyclesEndoModeled())
 }
 
-// TestTableI solves the Table I block once, with solver progress
-// reporting on, and checks both the result and the branch-and-bound
-// progress stream (incumbent/bound events, exactly one done event).
+// tableISolve is the one branch-and-bound solve of the Table I block,
+// run with progress reporting on and shared by TestTableI and
+// TestTableIBnBProgress (each solve takes ~15 s).
+type tableISolve struct {
+	r                        *TableIResult
+	err                      error
+	incumbents, bounds, done int
+}
+
+var sharedTableI *tableISolve
+
+func getTableI(t testing.TB) *tableISolve {
+	t.Helper()
+	if sharedTableI == nil {
+		s := &tableISolve{}
+		s.r, s.err = TableIObserved(sched.DefaultResources(), func(p jobshop.Progress) {
+			switch p.Kind {
+			case jobshop.ProgressIncumbent:
+				s.incumbents++
+			case jobshop.ProgressBound:
+				s.bounds++
+			case jobshop.ProgressDone:
+				s.done++
+			}
+		})
+		sharedTableI = s
+	}
+	if sharedTableI.err != nil {
+		t.Fatal(sharedTableI.err)
+	}
+	return sharedTableI
+}
+
 func TestTableI(t *testing.T) {
-	var incumbents, bounds, done int
-	r, err := TableIObserved(sched.DefaultResources(), func(p jobshop.Progress) {
-		switch p.Kind {
-		case jobshop.ProgressIncumbent:
-			incumbents++
-		case jobshop.ProgressBound:
-			bounds++
-		case jobshop.ProgressDone:
-			done++
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if incumbents+bounds < 1 {
-		t.Fatalf("no incumbent/bound progress events on the Table I workload (incumbents=%d bounds=%d)",
-			incumbents, bounds)
-	}
-	if done != 1 {
-		t.Fatalf("done events = %d, want 1", done)
-	}
+	r := getTableI(t).r
 	if r.Makespan <= 0 {
 		t.Fatalf("Table I makespan = %d", r.Makespan)
 	}
@@ -115,6 +125,24 @@ func TestTableI(t *testing.T) {
 	}
 	if r.Listing == "" {
 		t.Error("empty listing")
+	}
+}
+
+// TestTableIBnBProgress checks the acceptance criterion that the
+// branch-and-bound solver reports at least one progress event
+// (incumbent or bound improvement) on the Table I workload, and
+// exactly one done event.
+func TestTableIBnBProgress(t *testing.T) {
+	s := getTableI(t)
+	if s.incumbents+s.bounds < 1 {
+		t.Fatalf("no incumbent/bound progress events on the Table I workload (incumbents=%d bounds=%d)",
+			s.incumbents, s.bounds)
+	}
+	if s.done != 1 {
+		t.Fatalf("done events = %d, want 1", s.done)
+	}
+	if s.r.Makespan <= 0 {
+		t.Fatalf("Table I makespan = %d", s.r.Makespan)
 	}
 }
 
