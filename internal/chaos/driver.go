@@ -323,13 +323,6 @@ func tenantName(i, tenants int) string {
 	return fmt.Sprintf("tenant-%d", i%tenants)
 }
 
-// shed reads a phase's client-side shed tally mid-phase.
-func (h *harness) shed(phase string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.phases[phase].Shed
-}
-
 // trickleOne sends a single request into the named phase bucket —
 // recovery polling uses it to keep probe traffic flowing.
 func (h *harness) trickleOne(phase string, i int) {

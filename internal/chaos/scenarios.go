@@ -45,18 +45,6 @@ func poisonedShardZero(armed *atomic.Bool, reg *telemetry.Registry) func(int, en
 	}
 }
 
-// wedge returns an engine ExecHook that blocks every worker reaching it
-// while stall holds a gate channel, until that channel is closed. The
-// workers have work claimed, so a wedge backs the queue up without
-// dropping anything.
-func wedge(stall *atomic.Pointer[chan struct{}]) func(int) {
-	return func(worker int) {
-		if ch := stall.Load(); ch != nil {
-			<-*ch
-		}
-	}
-}
-
 // runFaultyShard drives the full degradation ladder on one shard: a
 // persistent datapath fault poisons shard 0 mid-campaign, validation
 // catches every corruption (so clients keep getting right answers on
@@ -118,7 +106,11 @@ func runStalledShard(h *harness) {
 			HedgeDelay: 20 * time.Millisecond,
 			ShardEngine: func(shardID int, o engine.Options) engine.Options {
 				if shardID == 0 {
-					o.ExecHook = wedge(stall)
+					o.ExecHook = func(worker int) {
+						if ch := stall.Load(); ch != nil {
+							<-*ch
+						}
+					}
 				}
 				return o
 			},
@@ -216,23 +208,21 @@ func runClockSkew(h *harness) {
 // deliberately small engine queue. The invariant under overload is the
 // layering: admission sheds (503) strictly before the engine's own
 // backpressure can fire — serve.engine_rejected stays zero — and
-// goodput returns to baseline the moment the burst ends. The engine
-// workers are held in ExecHook while the burst arrives, until admission
-// has shed (bounded): requests are then only admitted, never answered,
-// so the outstanding weight must cross the mark however fast the engine
-// is. Without the hold the 32 clients, sharing the CPU with the
-// engine, did not always get ahead of it, and some runs shed nothing.
+// goodput returns to baseline the moment the burst ends. The burst
+// offers rounds of 4n requests from 32 clients until admission has shed
+// (bounded by recoveryBound): the clients share the CPU with a running
+// engine, and on a fast datapath one round does not always get ahead of
+// it.
 func runSaturation(h *harness) {
-	fleet := func(hold *atomic.Pointer[chan struct{}]) serve.Options {
+	fleet := func() serve.Options {
 		return serve.Options{
 			Shards:             2,
-			Engine:             engine.Options{Workers: 1, QueueDepth: 8, ExecHook: wedge(hold)},
+			Engine:             engine.Options{Workers: 1, QueueDepth: 8},
 			ShedHighWater:      0.5,
 			SupervisorInterval: 10 * time.Millisecond,
 		}
 	}
-	var hold atomic.Pointer[chan struct{}]
-	if err := h.start(fleet(&hold)); err != nil {
+	if err := h.start(fleet()); err != nil {
 		h.violate("server failed to start: %v", err)
 		return
 	}
@@ -240,28 +230,18 @@ func runSaturation(h *harness) {
 	h.phase("warmup", n/2, 4, 0, 0)
 	h.phase("pre", n, 4, 0, 0)
 
-	gate := make(chan struct{})
-	hold.Store(&gate)
 	h.manualFaults.Add(1)
-	done := make(chan struct{})
-	var burst PhaseStats
-	go func() {
-		burst = h.phase("burst", 4*n, 32, 0, 0)
-		close(done)
-	}()
 	deadline := time.Now().Add(recoveryBound)
-	for h.shed("burst") == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	burst := h.phase("burst", 4*n, 32, 0, 0)
+	for burst.Shed == 0 && time.Now().Before(deadline) {
+		burst = h.phase("burst", 4*n, 32, 0, 0)
 	}
-	hold.Store(nil)
-	close(gate)
-	<-done
 	if burst.Shed == 0 {
 		h.violate("saturation burst was never shed (admission control idle)")
 	}
 
 	h.phase("settle", n/2, 4, 0, 0) // let the queues fully drain unmeasured
-	h.measureRecovery(fleet(new(atomic.Pointer[chan struct{}])), n, 4, 0)
+	h.measureRecovery(fleet(), n, 4, 0)
 }
 
 // runDrainDuringFailure starts a graceful drain while a datapath fault

@@ -53,10 +53,10 @@ func (e *Executor) lanes(n int) *laneState {
 // for every lane, data-independent); the whole-batch error is reserved
 // for caller mistakes (mismatched slice lengths, no lanes).
 //
-// With an armed injector attached (rtl.Injecting) the lockstep path is
-// bypassed: each lane runs through ScalarMultPoint, whose injected runs
-// take the reference interpreter, so faults land in exactly one lane,
-// preserving the per-lane error contract.
+// With an injector attached the lockstep path is bypassed: each lane
+// runs through ScalarMultPoint, whose injected runs take the reference
+// interpreter, so faults land in exactly one lane, preserving the
+// per-lane error contract.
 func (e *Executor) ScalarMultLanes(ks []scalar.Scalar, bases []curve.Affine, outs []curve.Affine, errs []error) (rtl.Stats, error) {
 	n := len(ks)
 	if n == 0 {
@@ -66,7 +66,7 @@ func (e *Executor) ScalarMultLanes(ks []scalar.Scalar, bases []curve.Affine, out
 		return rtl.Stats{}, fmt.Errorf("core: lane slice lengths diverge: %d scalars, %d bases, %d outs, %d errs",
 			n, len(bases), len(outs), len(errs))
 	}
-	if rtl.Injecting(e.inj) {
+	if e.inj != nil {
 		for l := 0; l < n; l++ {
 			outs[l], _, errs[l] = e.ScalarMultPoint(ks[l], bases[l])
 		}
@@ -117,7 +117,7 @@ func (e *Executor) fbLanes(n int) *laneState {
 // ScalarMultFixedBaseLanes executes [ks[l]]G for every lane l in one
 // lockstep pass of the fixed-base comb schedule, with the same per-lane
 // error contract as ScalarMultLanes. Without the fixed-base program (or
-// with an armed injector attached) each lane runs through the single-lane
+// with an injector attached) each lane runs through the single-lane
 // fixed-base path instead.
 func (e *Executor) ScalarMultFixedBaseLanes(ks []scalar.Scalar, outs []curve.Affine, errs []error) (rtl.Stats, error) {
 	n := len(ks)
@@ -128,7 +128,7 @@ func (e *Executor) ScalarMultFixedBaseLanes(ks []scalar.Scalar, outs []curve.Aff
 		return rtl.Stats{}, fmt.Errorf("core: lane slice lengths diverge: %d scalars, %d outs, %d errs",
 			n, len(outs), len(errs))
 	}
-	if e.p.fbCompiled == nil || rtl.Injecting(e.inj) {
+	if e.p.fbCompiled == nil || e.inj != nil {
 		for l := 0; l < n; l++ {
 			outs[l], _, errs[l] = e.ScalarMultFixedBase(ks[l])
 		}

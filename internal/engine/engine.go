@@ -906,9 +906,13 @@ func (e *Engine) executeLanes(w *workerState, jobs []*job) {
 		}
 		return
 	}
-	e.laneRuns.Inc()
-	e.laneLanes.Add(int64(n))
-	e.fr.Record("lane_run", w.id, 0, 1, fmt.Sprintf("lanes=%d", n))
+	if n > 1 {
+		// Only a coalesced batch counts as a lane run: a lone request is
+		// a one-lane pass, so lane_runs >= 1 proves coalescing happened.
+		e.laneRuns.Inc()
+		e.laneLanes.Add(int64(n))
+		e.fr.Record("lane_run", w.id, 0, 1, fmt.Sprintf("lanes=%d", n))
+	}
 	for i, j := range jobs {
 		err := w.lerrs[i]
 		e.spanExecute(j, w.id, 1, BackendRTL, startUS, err == nil)

@@ -11,21 +11,13 @@ import (
 // Gate wraps an rtl.Injector behind an atomic arm switch so a chaos
 // campaign can open and close a fault window on a live engine without
 // rebuilding it: while disarmed every hook is a transparent pass-
-// through, while armed the inner injector sees every call. A Gate is
-// rtl.Switchable: a run that starts disarmed does not call the hooks at
-// all and takes the fast path, so a fleet outside its fault window runs
-// at production speed. The switch is read per hook call within a run
-// that started armed and per run otherwise: arming it mid-run poisons
-// that machine's next run. The switch
+// through, while armed the inner injector sees every call. The switch
 // is shared — arming one *atomic.Bool arms every Gate built over it,
 // which is how a campaign poisons all of one shard's workers at once.
 type Gate struct {
 	inner rtl.Injector
 	armed *atomic.Bool
 }
-
-// Armed implements rtl.Switchable.
-func (g *Gate) Armed() bool { return g.armed.Load() }
 
 // NewGate wraps inner behind the shared armed switch.
 func NewGate(inner rtl.Injector, armed *atomic.Bool) *Gate {

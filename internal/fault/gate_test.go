@@ -4,11 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/curve"
 	"repro/internal/fp2"
 	"repro/internal/isa"
-	"repro/internal/rtl"
-	"repro/internal/scalar"
 )
 
 // TestGateArmsAndDisarms pins the pass-through contract: a disarmed
@@ -47,67 +44,5 @@ func TestGateArmsAndDisarms(t *testing.T) {
 	armed.Store(false)
 	if got := g.Retire(0, isa.UnitMul, 0, v); got != v {
 		t.Fatal("re-disarmed Retire still applying faults")
-	}
-}
-
-// TestGateSwitchesPerRun pins the Switchable contract on a live
-// executor: a disarmed Gate reports rtl.Injecting false and its runs,
-// lockstep lanes included, answer correctly without consulting the
-// inner injector; arming the switch between runs poisons the next run;
-// disarming it restores clean answers.
-func TestGateSwitchesPerRun(t *testing.T) {
-	p := testProc(t)
-	inner := NewInjector([]Fault{
-		{Site: SitePipeMul, Kind: KindStuckAt1, Bit: 7},
-	}, nil)
-	var armed atomic.Bool
-	g := NewGate(inner, &armed)
-	ex := p.NewExecutor()
-	ex.SetInjector(g)
-
-	ks := []scalar.Scalar{{11, 22, 33, 4}, {5, 6, 7, 8}}
-	base := curve.GeneratorAffine()
-	bases := []curve.Affine{base, base}
-	want := func(k scalar.Scalar) curve.Affine { return curve.ScalarMult(k, curve.FromAffine(base)).Affine() }
-	clean := func(stage string) {
-		t.Helper()
-		if rtl.Injecting(g) {
-			t.Fatalf("%s: disarmed gate reports Injecting", stage)
-		}
-		outs := make([]curve.Affine, len(ks))
-		errs := make([]error, len(ks))
-		if _, err := ex.ScalarMultLanes(ks, bases, outs, errs); err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		for l, k := range ks {
-			w := want(k)
-			if errs[l] != nil || !outs[l].X.Equal(w.X) || !outs[l].Y.Equal(w.Y) {
-				t.Fatalf("%s: lane %d wrong under a disarmed gate (err %v)", stage, l, errs[l])
-			}
-		}
-	}
-
-	clean("disarmed")
-	if inner.Fired() != 0 {
-		t.Fatalf("inner fired %d times while disarmed", inner.Fired())
-	}
-
-	armed.Store(true)
-	if !rtl.Injecting(g) {
-		t.Fatal("armed gate reports not Injecting")
-	}
-	out, _, err := ex.ScalarMultPoint(ks[0], base)
-	if inner.Fired() == 0 {
-		t.Fatal("armed run never reached the inner injector")
-	}
-	if w := want(ks[0]); err == nil && out.X.Equal(w.X) && out.Y.Equal(w.Y) {
-		t.Fatal("stuck-at fault in every multiplier result left the answer intact")
-	}
-
-	armed.Store(false)
-	fired := inner.Fired()
-	clean("re-disarmed")
-	if inner.Fired() != fired {
-		t.Fatalf("inner fired %d more times after disarming", inner.Fired()-fired)
 	}
 }

@@ -45,26 +45,6 @@ type Injector interface {
 	Retire(cycle int, unit uint8, dst uint16, v fp2.Element) fp2.Element
 }
 
-// Switchable is implemented by an Injector with an off switch
-// (fault.Gate). A run that starts while Armed reports false takes the
-// fast path, exactly as if no injector were attached.
-type Switchable interface {
-	Armed() bool
-}
-
-// Injecting reports whether a run started now with inj attached goes
-// through the injection hooks (and so the reference interpreter): inj is
-// non-nil and, if it is Switchable, armed.
-func Injecting(inj Injector) bool {
-	if inj == nil {
-		return false
-	}
-	if s, ok := inj.(Switchable); ok {
-		return s.Armed()
-	}
-	return true
-}
-
 // RegFile is the injector's window onto the architectural register
 // file. Poke corrupts the stored word only — it never marks a
 // never-written register as valid, so the hazard checker's

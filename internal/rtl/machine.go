@@ -42,18 +42,16 @@ func (m *Machine) Program() *CompiledProgram { return m.lanes.cp }
 func (m *Machine) Reg(r uint16) fp2.Element { return m.lanes.regs[r] }
 
 // Run executes one scalar multiplication worth of the program. With no
-// Observer and no Injector (or a disarmed one, see Injecting) it is a
-// one-lane RunLanes: the error is the
+// Observer and no Injector it is a one-lane RunLanes: the error is the
 // lane's (a bind or residual-check failure) and the Stats are the
 // program's precomputed ones, whose IssuesByOpcode map is shared across
 // runs — read-only. Otherwise it falls back to the reference
 // interpreter on this machine's buffers, with byte-identical event
 // ordering and injection hooks.
 func (m *Machine) Run(in RunInput) (Stats, error) {
-	if in.Observer != nil || Injecting(in.Injector) {
+	if in.Observer != nil || in.Injector != nil {
 		return m.runSlow(in)
 	}
-	in.Injector = nil
 	m.in[0] = in
 	st, err := m.lanes.RunLanes(m.in[:], m.errs[:])
 	m.in[0] = RunInput{} // do not retain the caller's bindings
