@@ -90,11 +90,15 @@ smoke: build
 	$(GO) run ./scripts/benchcheck $(FAULTS_JSON)
 
 # Lane-batch smoke: the race-enabled coalescing/lockstep engine tests,
-# then a cheap width-2 lockstep sweep through the real bench binary so
-# CI exercises the -exp batch path end to end (full widths are swept by
+# the race-enabled verify paths (each verify fans [s]G and [h]A out
+# concurrently into class-mixed engine queues), then a cheap width-2
+# lockstep sweep through the real bench binary so CI exercises the
+# -exp batch path end to end (full widths are swept by
 # bench-record/bench-compare).
 lane-smoke: build
 	$(GO) test -race -run 'Lane|Coalesc' -count=1 ./internal/engine ./internal/core ./internal/rtl
+	$(GO) test -race -run 'VerifyWith|BatchVerifyWith' -count=1 ./internal/schnorrq
+	$(GO) test -race -run 'Verify|FixedBase' -count=1 ./internal/serve
 	$(GO) run ./cmd/fourq-bench -exp batch -lanes 1,2 -json $(BATCH_JSON)
 	$(GO) run ./scripts/benchcheck $(BATCH_JSON)
 

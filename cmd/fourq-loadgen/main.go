@@ -113,7 +113,7 @@ func buildOps(batchSize int) ([]opKind, error) {
 		{"scalarmult", "/v1/scalarmult", smBody, 1},
 		{"sign", "/v1/sign", signBody, 1},
 		{"verify", "/v1/verify", verifyBody, 2},
-		{"batch", "/v1/batch/verify", batchBody, 2*batchSize + 1},
+		{"batch", "/v1/batch/verify", batchBody, 2 * batchSize},
 	}, nil
 }
 

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	mrand "math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -133,8 +135,9 @@ func TestEngineClassFallback(t *testing.T) {
 // TestSchnorrQSigningRidesFixedBase is the end-to-end routing check:
 // SignWith over a comb-carrying engine produces the bit-compatible
 // signature AND the commitment multiplication lands on the fixed-base
-// program (visible in the per-program completion counters), while
-// verification stays variable-base.
+// program (visible in the per-program completion counters), and each
+// verification puts [s]G on the fixed-base program and [h]A on the
+// variable-base one: exactly one call on each.
 func TestSchnorrQSigningRidesFixedBase(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := NewWithProcessor(testFBProcessor(t), Options{
@@ -162,32 +165,109 @@ func TestSchnorrQSigningRidesFixedBase(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("verification failed: ok=%v err=%v", ok, err)
 	}
-	if got := get("engine.completed_fixedbase"); got != 1 {
-		t.Fatalf("verification moved the fixed-base counter to %d; it must stay variable-base", got)
+	if got := get("engine.completed_fixedbase"); got != 2 {
+		t.Fatalf("completed_fixedbase = %d after one signature and one verification, want 2", got)
 	}
-	if got := get("engine.completed_variablebase"); got != 2 {
-		t.Fatalf("completed_variablebase = %d after one verification, want 2", got)
+	if got := get("engine.completed_variablebase"); got != 1 {
+		t.Fatalf("completed_variablebase = %d after one verification, want 1", got)
 	}
 }
 
-// TestEngineLaneClassHomogeneity is the coalescing regression test: a
-// mixed burst through a LaneWidth-4 worker must never share a lockstep
-// batch across program classes. Mixing is observable two ways — a
-// variable-base request with its own base would come back as [k]G (or
-// vice versa), and the class-break counter would stay zero for an
-// interleaved burst. Every request is delivered exactly once and the
+// heldEngine builds a one-worker LaneWidth-4 engine on the fake clock
+// whose ExecHook parks the worker until release is called. plug submits
+// one fixed-base request and returns once the worker holds it in the
+// hook, so whatever is submitted next queues up behind a busy worker;
+// dispatch reports the clock reading at each batch's ExecHook.
+func heldEngine(t *testing.T, clk *fakeClock, reg *telemetry.Registry) (e *Engine, plug, release func(), dispatch func() []time.Time) {
+	t.Helper()
+	hold := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	var mu sync.Mutex
+	var at []time.Time
+	e = NewWithProcessor(testFBProcessor(t), Options{
+		Workers: 1, QueueDepth: 64, LaneWidth: 4,
+		FlushDeadline: time.Millisecond, Clock: clk,
+		Verify: true, Registry: reg,
+		ExecHook: func(int) {
+			mu.Lock()
+			at = append(at, clk.Now())
+			mu.Unlock()
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-hold
+		},
+	})
+	plug = func() {
+		go e.Submit(context.Background(), classReq(mrand.New(mrand.NewSource(66)), ClassFixedBase))
+		<-entered
+	}
+	release = func() { close(hold) }
+	dispatch = func() []time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]time.Time(nil), at...)
+	}
+	return e, plug, release, dispatch
+}
+
+// submitHeld submits reqs as one batch behind a held worker and returns
+// once all of them are queued (load counts the plug too).
+func submitHeld(t *testing.T, e *Engine, reqs []Request) <-chan []Result {
+	t.Helper()
+	out := make(chan []Result, 1)
+	go func() {
+		results, err := e.SubmitBatch(context.Background(), reqs)
+		if err != nil {
+			t.Error(err)
+		}
+		out <- results
+	}()
+	for e.Load() != int64(len(reqs))+1 {
+		select {
+		case <-out:
+			t.Fatal("SubmitBatch returned while the worker was held")
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	return out
+}
+
+// checkClassResults is the wrong-point check that catches class mixing:
+// a variable-base request with its own base would come back as [k]G
+// from a comb lane (or vice versa).
+func checkClassResults(t *testing.T, reqs []Request, results []Result) {
+	t.Helper()
+	if len(results) != len(reqs) {
+		t.Fatalf("%d results for %d requests", len(results), len(reqs))
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+		want := wantClassPoint(reqs[i])
+		if !r.Point.X.Equal(want.X) || !r.Point.Y.Equal(want.Y) {
+			t.Fatalf("request %d (%v): wrong point — a lane batch mixed program classes", i, reqs[i].Class)
+		}
+	}
+}
+
+// TestEngineLaneClassHomogeneity is the coalescing regression test: an
+// interleaved burst queued behind a held LaneWidth-4 worker must never
+// share a lockstep batch across program classes (the wrong-point
+// check), and class-gathering must still fill the lanes: the 12
+// requests run as four same-class batches of 4, 4, 2 and 2 lanes, where
+// cutting the FIFO at every class boundary would leave six batches, two
+// of them singletons. Every request is delivered exactly once and the
 // telemetry reconciles after drain. Runs under -race in CI.
 func TestEngineLaneClassHomogeneity(t *testing.T) {
 	clk := newFakeClock()
 	reg := telemetry.NewRegistry()
-	e := NewWithProcessor(testFBProcessor(t), Options{
-		Workers: 1, QueueDepth: 64, LaneWidth: 4,
-		FlushDeadline: time.Millisecond, Clock: clk,
-		Verify: true, Registry: reg,
-	})
+	e, plug, release, _ := heldEngine(t, clk, reg)
 	rng := mrand.New(mrand.NewSource(65))
-	// Runs of 3+3+2+... so some batches can fill homogeneously and every
-	// class boundary lands inside a potential batch.
+	// Runs of 3+3+2+... so every class boundary lands inside a potential
+	// batch.
 	classes := []Class{
 		ClassFixedBase, ClassFixedBase, ClassFixedBase,
 		ClassVariableBase, ClassVariableBase, ClassVariableBase,
@@ -200,31 +280,118 @@ func TestEngineLaneClassHomogeneity(t *testing.T) {
 	for i, c := range classes {
 		reqs[i] = classReq(rng, c)
 	}
-	results, err := e.SubmitBatch(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("request %d: %v", i, r.Err)
-		}
-		want := wantClassPoint(reqs[i])
-		if !r.Point.X.Equal(want.X) || !r.Point.Y.Equal(want.Y) {
-			t.Fatalf("request %d (%v): wrong point — a lane batch mixed program classes", i, reqs[i].Class)
-		}
-	}
+	plug()
+	out := submitHeld(t, e, reqs)
+	release()
+	checkClassResults(t, reqs, <-out)
 	e.Close()
 	get := func(name string) int64 { return reg.Counter(name).Value() }
 	if get("engine.submitted") != get("engine.completed")+get("engine.canceled") {
 		t.Fatal("telemetry does not reconcile: submitted != completed + canceled")
 	}
-	if got := get("engine.completed"); got != int64(len(reqs)) {
-		t.Fatalf("completed = %d, want %d (exactly-once delivery)", got, len(reqs))
+	total := int64(len(reqs)) + 1 // the plug
+	if got := get("engine.completed"); got != total {
+		t.Fatalf("completed = %d, want %d (exactly-once delivery)", got, total)
 	}
-	if get("engine.completed_fixedbase")+get("engine.completed_variablebase") != int64(len(reqs)) {
+	if get("engine.completed_fixedbase")+get("engine.completed_variablebase") != total {
 		t.Fatal("per-class completion counters do not cover every request")
 	}
-	if get("engine.lane_class_breaks") == 0 {
-		t.Fatal("interleaved burst produced no class breaks: batches were not cut at class boundaries")
+	runs, lanes := get("engine.lane_runs"), get("engine.lane_lanes")
+	if runs == 0 || lanes < 3*runs || lanes != int64(len(reqs)) {
+		t.Fatalf("burst ran as %d coalesced batches over %d lanes, want same-class batches averaging >= 3 lanes and covering all %d requests",
+			runs, lanes, len(reqs))
+	}
+}
+
+// TestEngineLaneClassFlushBehindOtherClass: a partial batch with only
+// other-class jobs queued behind it gets no lane-mate, and still
+// dispatches exactly at the flush deadline — the skipped jobs then form
+// their own batch, which waits out its own deadline.
+func TestEngineLaneClassFlushBehindOtherClass(t *testing.T) {
+	clk := newFakeClock()
+	reg := telemetry.NewRegistry()
+	e, plug, release, dispatch := heldEngine(t, clk, reg)
+	rng := mrand.New(mrand.NewSource(67))
+	reqs := []Request{
+		classReq(rng, ClassFixedBase),
+		classReq(rng, ClassVariableBase),
+		classReq(rng, ClassVariableBase),
+		classReq(rng, ClassVariableBase),
+	}
+	plug()
+	out := submitHeld(t, e, reqs)
+	release()
+	checkClassResults(t, reqs, <-out)
+	e.Close()
+	at := dispatch()
+	if len(at) != 3 {
+		t.Fatalf("%d batches dispatched, want 3 (plug, lone fixed-base, three variable-base)", len(at))
+	}
+	for i := 1; i < len(at); i++ {
+		if d := at[i].Sub(at[i-1]); d != time.Millisecond {
+			t.Fatalf("batch %d dispatched %v after the previous one, want the 1ms flush deadline", i, d)
+		}
+	}
+	get := func(name string) int64 { return reg.Counter(name).Value() }
+	if got := get("engine.flush_deadline_hits"); got != 3 {
+		t.Fatalf("flush_deadline_hits = %d, want 3 (every batch was partial)", got)
+	}
+	if runs, lanes := get("engine.lane_runs"), get("engine.lane_lanes"); runs != 1 || lanes != 3 {
+		t.Fatalf("lane_runs=%d lane_lanes=%d, want the three variable-base jobs in one batch", runs, lanes)
+	}
+}
+
+// TestLaneClaimGathersClass pins the claim order on a hand-built queue:
+// the first live job is claimed first and fixes the class, later jobs of
+// that class join the batch, other-class jobs stay queued in FIFO order,
+// and canceled jobs are dropped once a claim reaches them.
+func TestLaneClaimGathersClass(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	e := &Engine{depth: reg.Gauge("depth"), queueWait: reg.Histogram("wait", 1)}
+	fb, vb := ClassFixedBase, ClassVariableBase
+	type spec struct {
+		name     string
+		class    Class
+		canceled bool
+	}
+	specs := []spec{
+		{"vb1", vb, true}, {"fb1", fb, false}, {"vb2", vb, false}, {"fb2", fb, false},
+		{"vb3", vb, true}, {"fb3", fb, false}, {"vb4", vb, false}, {"fb4", fb, false},
+		{"fb5", fb, false},
+	}
+	names := map[*job]string{}
+	for _, sp := range specs {
+		j := &job{req: Request{Class: sp.class}, enq: time.Now()}
+		if sp.canceled {
+			j.state.Store(jobCanceled)
+		}
+		names[j] = sp.name
+		e.queue = append(e.queue, j)
+	}
+	list := func(js []*job) []string {
+		out := make([]string, len(js))
+		for i, j := range js {
+			out[i] = names[j]
+		}
+		return out
+	}
+	for _, step := range []struct{ batch, queue []string }{
+		{[]string{"fb1", "fb2", "fb3", "fb4"}, []string{"vb2", "vb3", "vb4", "fb5"}},
+		{[]string{"vb2", "vb4"}, []string{"fb5"}},
+		{[]string{"fb5"}, []string{}},
+	} {
+		w := &workerState{}
+		e.popClaim(w, 4)
+		if got := list(w.jobs); !slices.Equal(got, step.batch) {
+			t.Fatalf("batch %v, want %v", got, step.batch)
+		}
+		if got := list(e.queue); !slices.Equal(got, step.queue) {
+			t.Fatalf("queue left %v, want %v", got, step.queue)
+		}
+		for _, j := range w.jobs {
+			if j.state.Load() != jobClaimed {
+				t.Fatalf("%s in the batch but not claimed", names[j])
+			}
+		}
 	}
 }

@@ -301,7 +301,6 @@ type Engine struct {
 	laneRuns    *telemetry.Counter
 	laneLanes   *telemetry.Counter
 	flushHits   *telemetry.Counter
-	classBreaks *telemetry.Counter
 	fbDone      *telemetry.Counter
 	vbDone      *telemetry.Counter
 	depth       *telemetry.Gauge
@@ -418,7 +417,6 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 		laneRuns:    reg.Counter(ns + ".lane_runs"),
 		laneLanes:   reg.Counter(ns + ".lane_lanes"),
 		flushHits:   reg.Counter(ns + ".flush_deadline_hits"),
-		classBreaks: reg.Counter(ns + ".lane_class_breaks"),
 		fbDone:      reg.Counter(ns + ".completed_fixedbase"),
 		vbDone:      reg.Counter(ns + ".completed_variablebase"),
 		depth:       reg.Gauge(ns + ".queue_depth"),
@@ -630,8 +628,8 @@ func (e *Engine) ScalarMultAffine(ctx context.Context, k scalar.Scalar, base cur
 
 // ScalarMultFixedBase submits [k]G as a fixed-base-class request, riding
 // the comb microprogram when the processor carries it. It is the
-// schnorrq.FixedBaseScalarMulter backend: signing's commitment
-// multiplication takes its cheapest schedule while verification stays
+// schnorrq.FixedBaseScalarMulter backend: signing's commitment [r]G
+// and verification's [s]G take the cheapest schedule, while [h]A stays
 // on the variable-base program.
 func (e *Engine) ScalarMultFixedBase(ctx context.Context, k scalar.Scalar) (curve.Affine, error) {
 	r, err := e.Submit(ctx, Request{K: k, Class: ClassFixedBase})
@@ -762,10 +760,10 @@ func (e *Engine) workerLanes(w *workerState) {
 
 // collect claims up to LaneWidth queued jobs for one lockstep batch.
 // It blocks for the first job; holding a partial batch it then waits
-// for lane-mates in FlushDeadline/4 slices of injected-Clock sleep,
-// giving up at the flush deadline (or at once when the deadline is
-// negative, or when the engine closes) — so a lone request pays at most
-// the deadline, never an unbounded wait.
+// for lane-mates of its class in FlushDeadline/4 slices of
+// injected-Clock sleep, giving up at the flush deadline (or at once when
+// the deadline is negative, or when the engine closes) — so a lone
+// request pays at most the deadline, never an unbounded wait.
 // Returns an empty slice when the engine is closed and drained.
 func (e *Engine) collect(w *workerState) []*job {
 	lw := e.opts.LaneWidth
@@ -778,15 +776,9 @@ func (e *Engine) collect(w *workerState) []*job {
 		e.mu.Unlock()
 		return nil
 	}
-	mixed := e.popClaim(w, lw)
+	e.popClaim(w, lw)
 	closed := e.closed
 	e.mu.Unlock()
-	if mixed {
-		// The queue head belongs to the other program class; FIFO means
-		// no lane-mate can overtake it, so dispatch what we hold.
-		e.classBreaks.Inc()
-		return w.jobs
-	}
 	if len(w.jobs) >= lw || closed || e.opts.FlushDeadline < 0 {
 		if len(w.jobs) == 0 {
 			// Everything popped had been canceled; go back to blocking.
@@ -802,13 +794,9 @@ func (e *Engine) collect(w *workerState) []*job {
 	for len(w.jobs) < lw {
 		e.clock.Sleep(slice)
 		e.mu.Lock()
-		mixed = e.popClaim(w, lw)
+		e.popClaim(w, lw)
 		closed = e.closed
 		e.mu.Unlock()
-		if mixed {
-			e.classBreaks.Inc()
-			return w.jobs
-		}
 		if closed || !e.clock.Now().Before(deadline) {
 			break
 		}
@@ -826,28 +814,37 @@ func (e *Engine) collect(w *workerState) []*job {
 
 // popClaim moves queued jobs into w.jobs (up to max), claiming each;
 // jobs canceled while queued are dropped — the canceler accounted for
-// them. Claiming stops at a class boundary: a held batch only takes
-// head-of-queue jobs of its own class, so lockstep lanes stay
-// program-homogeneous without reordering the FIFO. It returns true when
-// the head was left behind for that reason — no lane-mate can arrive
-// ahead of it, so the caller should dispatch rather than keep waiting.
-// Caller holds e.mu.
-func (e *Engine) popClaim(w *workerState, max int) bool {
-	mixed := false
-	for len(w.jobs) < max && len(e.queue) > 0 {
-		j := e.queue[0]
+// them. The first live job in the queue is always claimed first and
+// fixes the batch's class; the batch then gathers later jobs of that
+// class and skips past jobs of the other class, which stay queued in
+// their FIFO order. So lockstep lanes stay program-homogeneous and fill
+// even when the two classes interleave, and since every batch starts at
+// the head no job waits behind more than the batches formed ahead of
+// it. Caller holds e.mu.
+func (e *Engine) popClaim(w *workerState, max int) {
+	q := e.queue
+	skipped := 0 // q[:skipped] are the other-class jobs left behind
+	i := 0
+	for ; i < len(q) && len(w.jobs) < max; i++ {
+		j := q[i]
 		if len(w.jobs) > 0 && j.req.Class != w.jobs[0].req.Class {
-			mixed = true
-			break
+			q[skipped] = j
+			skipped++
+			continue
 		}
-		e.queue = e.queue[1:]
 		if j.state.CompareAndSwap(jobPending, jobClaimed) {
 			e.claimJob(j)
 			w.jobs = append(w.jobs, j)
 		}
 	}
+	if skipped == 0 {
+		e.queue = q[i:]
+	} else {
+		n := skipped + copy(q[skipped:], q[i:])
+		clear(q[n:])
+		e.queue = q[:n]
+	}
 	e.depth.Set(float64(len(e.queue)))
-	return mixed
 }
 
 // executeLanes runs one claimed batch, a lone job included. The fast

@@ -20,12 +20,21 @@ type ScalarMulter interface {
 // FixedBaseScalarMulter is the optional fast path of a ScalarMulter: a
 // backend that can compute generator multiplications [k]G on a cheaper
 // dedicated schedule (internal/engine routes them to the fixed-base
-// comb microprogram). SignWith type-asserts for it, so the commitment
-// multiplication — the only curve operation in signing — automatically
-// rides the cheap schedule when the backend offers one; verification's
-// [h]A is genuinely variable-base and stays on ScalarMultAffine.
+// comb microprogram). SignWith and VerifyWith type-assert for it, so
+// signing's commitment [r]G and verification's [s]G automatically ride
+// the cheap schedule when the backend offers one; verification's [h]A
+// is genuinely variable-base and stays on ScalarMultAffine.
 type FixedBaseScalarMulter interface {
 	ScalarMultFixedBase(ctx context.Context, k scalar.Scalar) (curve.Affine, error)
+}
+
+// scalarMultBase computes [k]G on the backend's fixed-base path when it
+// has one, and as a variable-base [k]G otherwise.
+func scalarMultBase(ctx context.Context, sm ScalarMulter, k scalar.Scalar) (curve.Affine, error) {
+	if fb, ok := sm.(FixedBaseScalarMulter); ok {
+		return fb.ScalarMultFixedBase(ctx, k)
+	}
+	return sm.ScalarMultAffine(ctx, k, curve.GeneratorAffine())
 }
 
 // SignWith produces the same deterministic signature as Sign, computing
@@ -37,13 +46,7 @@ func (k *PrivateKey) SignWith(ctx context.Context, sm ScalarMulter, msg []byte) 
 	if r.IsZero() {
 		r = scalar.FromUint64(1) // mirror Sign's degenerate-nonce fallback
 	}
-	var Ra curve.Affine
-	var err error
-	if fb, ok := sm.(FixedBaseScalarMulter); ok {
-		Ra, err = fb.ScalarMultFixedBase(ctx, r)
-	} else {
-		Ra, err = sm.ScalarMultAffine(ctx, r, curve.GeneratorAffine())
-	}
+	Ra, err := scalarMultBase(ctx, sm, r)
 	if err != nil {
 		return sig, err
 	}
@@ -58,9 +61,11 @@ func (k *PrivateKey) SignWith(ctx context.Context, sm ScalarMulter, msg []byte) 
 }
 
 // VerifyWith checks a signature like Verify, computing the two scalar
-// multiplications [s]G and [h]A on the backend and combining them with
-// one functional point addition. The bool is the verdict; the error
-// reports a backend failure (on which the verdict is meaningless).
+// multiplications on the backend concurrently — [s]G on its fixed-base
+// path when it has one (s is public), [h]A as a variable-base call — and
+// combining them with one functional point addition. Both calls are
+// always awaited. The bool is the verdict; the error reports a backend
+// failure of either call (on which the verdict is meaningless).
 func VerifyWith(ctx context.Context, sm ScalarMulter, pub *PublicKey, msg, sig []byte) (bool, error) {
 	if len(sig) != SignatureSize {
 		return false, nil
@@ -78,13 +83,20 @@ func VerifyWith(ctx context.Context, sm ScalarMulter, pub *PublicKey, msg, sig [
 	}
 	h := hashToScalar(sig[:curve.Size], pub.enc[:], msg)
 
-	sG, err := sm.ScalarMultAffine(ctx, s, curve.GeneratorAffine())
-	if err != nil {
-		return false, err
+	var sG curve.Affine
+	var sErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sG, sErr = scalarMultBase(ctx, sm, s)
+	}()
+	hA, hErr := sm.ScalarMultAffine(ctx, h, pub.A.Affine())
+	<-done
+	if sErr != nil {
+		return false, sErr
 	}
-	hA, err := sm.ScalarMultAffine(ctx, h, pub.A.Affine())
-	if err != nil {
-		return false, err
+	if hErr != nil {
+		return false, hErr
 	}
 	lhs := curve.Add(curve.FromAffine(sG), curve.FromAffine(hA))
 	return lhs.Equal(R), nil

@@ -21,11 +21,15 @@ import (
 // batch fails, fall back to one-by-one verification to isolate the bad
 // message.
 //
-// Two execution paths share the same combination (batchTerms):
-// BatchVerify evaluates it with the in-process multi-scalar ladder, and
-// BatchVerifyWith routes every term through a pluggable ScalarMulter —
-// the same backend seam SignWith/VerifyWith use — so batch verification
-// can ride the modeled accelerator instead of bypassing it.
+// The two entry points differ in how they evaluate a batch. BatchVerify
+// is the in-process random-linear-combination oracle: the saving comes
+// from the multi-scalar ladder sharing its doublings. BatchVerifyWith
+// routes work through a pluggable ScalarMulter — the same backend seam
+// SignWith/VerifyWith use — whose every call is a whole scalar
+// multiplication with no doublings to share, so there a combination
+// would only add terms. It verifies each item exactly instead: n
+// concurrent VerifyWith pairs, n of whose 2n calls ride the backend's
+// fixed-base path.
 
 // BatchItem pairs a message with its signature and signer.
 type BatchItem struct {
@@ -113,44 +117,38 @@ func BatchVerify(rand io.Reader, items []BatchItem) (bool, error) {
 	return total.IsIdentity(), nil
 }
 
-// BatchVerifyWith checks all items together like BatchVerify, but
-// computes every scalar multiplication of the combination — [sum z_i
-// s_i]G plus the 2n per-signature terms — on the backend. The terms are
-// submitted concurrently, so an engine-backed ScalarMulter coalesces
-// them into lockstep lanes instead of serializing 2n+1 round trips. The
-// bool is the verdict; the error reports a backend failure (on which the
-// verdict is meaningless).
-func BatchVerifyWith(ctx context.Context, rand io.Reader, sm ScalarMulter, items []BatchItem) (bool, error) {
-	if len(items) == 0 {
-		return true, nil
-	}
-	bt, ok, err := collectBatchTerms(rand, items)
-	if !ok || err != nil {
-		return false, err
-	}
-	terms := make([]curve.Affine, len(bt.scalars)+1)
-	errs := make([]error, len(bt.scalars)+1)
-	var wg sync.WaitGroup
-	wg.Add(len(bt.scalars) + 1)
-	go func() {
-		defer wg.Done()
-		terms[0], errs[0] = sm.ScalarMultAffine(ctx, bt.sSum, curve.GeneratorAffine())
-	}()
-	for i := range bt.scalars {
-		go func(i int) {
-			defer wg.Done()
-			terms[i+1], errs[i+1] = sm.ScalarMultAffine(ctx, bt.scalars[i], bt.points[i].Affine())
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return false, err
+// BatchVerifyWith checks all items on the backend: each one is a
+// VerifyWith pair ([s_i]G on the fixed-base path when the backend has
+// one, [h_i]A_i variable-base), and all n pairs are submitted
+// concurrently, so an engine-backed ScalarMulter coalesces them into
+// lockstep lanes. The verdict is exact: true iff every item verifies.
+// rand is unused (the signature matches BatchVerify). A nil public key
+// or a wrong-length signature is misuse, reported as an error before
+// any backend call; any other error reports a backend failure (on which
+// the verdict is meaningless).
+func BatchVerifyWith(ctx context.Context, _ io.Reader, sm ScalarMulter, items []BatchItem) (bool, error) {
+	for _, it := range items {
+		if it.Pub == nil || len(it.Sig) != SignatureSize {
+			return false, errBadBatch
 		}
 	}
-	total := curve.Identity()
-	for _, t := range terms {
-		total = curve.Add(total, curve.FromAffine(t))
+	oks := make([]bool, len(items))
+	errs := make([]error, len(items))
+	var wg sync.WaitGroup
+	wg.Add(len(items))
+	for i, it := range items {
+		go func() {
+			defer wg.Done()
+			oks[i], errs[i] = VerifyWith(ctx, sm, it.Pub, it.Msg, it.Sig)
+		}()
 	}
-	return total.IsIdentity(), nil
+	wg.Wait()
+	valid := true
+	for i := range items {
+		if errs[i] != nil {
+			return false, errs[i]
+		}
+		valid = valid && oks[i]
+	}
+	return valid, nil
 }

@@ -3,6 +3,7 @@ package schnorrq
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"testing"
 
 	"repro/internal/curve"
@@ -99,63 +100,83 @@ func TestBatchAgreesWithSingleVerify(t *testing.T) {
 	}
 }
 
-// TestBatchVerifyWithDifferential pins BatchVerifyWith (every term of
-// the combination routed through a ScalarMulter backend) to per-
-// signature verification and to the in-process BatchVerify, over valid
-// batches and every forgery mode the functional path catches.
+// TestBatchVerifyWithDifferential pins BatchVerifyWith (n concurrent
+// VerifyWith pairs on a backend) to the software BatchVerify oracle and
+// to per-item Verify, over valid batches of several sizes and every
+// forgery mode: a forged message in the first, middle and last
+// position, a flipped bit of s, swapped signatures, a bad point
+// encoding and a non-canonical s. Every item with a well-formed
+// encoding costs exactly one fixed-base and one variable-base call.
 func TestBatchVerifyWithDifferential(t *testing.T) {
 	ctx := context.Background()
-	sm := FuncScalarMulter{}
-
-	for _, n := range []int{1, 2, 5} {
-		items := makeBatch(t, n)
-		ok, err := BatchVerifyWith(ctx, rand.Reader, sm, items)
-		if err != nil {
-			t.Fatal(err)
+	const n = 5
+	badPoint := func(items []BatchItem, i int) {
+		sig := append([]byte(nil), items[i].Sig...)
+		for j := 0; j < curve.Size; j++ {
+			sig[j] = 0xFF
 		}
+		if _, err := curve.FromBytes(sig[:curve.Size]); err == nil {
+			t.Fatal("test encoding decodes to a point")
+		}
+		items[i].Sig = sig
+	}
+	nonCanonicalS := func(items []BatchItem, i int) {
+		sig := append([]byte(nil), items[i].Sig...)
+		for j := curve.Size; j < len(sig); j++ {
+			sig[j] = 0xFF
+		}
+		items[i].Sig = sig
+	}
+	flipS := func(items []BatchItem, i int) {
+		sig := append([]byte(nil), items[i].Sig...)
+		sig[len(sig)-5] ^= 1
+		items[i].Sig = sig
+	}
+	none := func([]BatchItem) {}
+	cases := []struct {
+		name    string
+		size    int
+		corrupt func([]BatchItem)
+		valid   bool
+		calls   int64 // per method: items whose encoding parses
+	}{
+		{"valid n=1", 1, none, true, 1},
+		{"valid n=2", 2, none, true, 2},
+		{"valid n=5", n, none, true, n},
+		{"forged first", n, func(it []BatchItem) { it[0].Msg = []byte("forged") }, false, n},
+		{"forged middle", n, func(it []BatchItem) { it[n/2].Msg = []byte("forged") }, false, n},
+		{"forged last", n, func(it []BatchItem) { it[n-1].Msg = []byte("forged") }, false, n},
+		{"flipped s", n, func(it []BatchItem) { flipS(it, 3) }, false, n},
+		{"swapped signatures", n, func(it []BatchItem) { it[0].Sig, it[1].Sig = it[1].Sig, it[0].Sig }, false, n},
+		{"bad point encoding", n, func(it []BatchItem) { badPoint(it, 1) }, false, n - 1},
+		{"non-canonical s", n, func(it []BatchItem) { nonCanonicalS(it, 3) }, false, n - 1},
+	}
+	for _, tc := range cases {
+		items := makeBatch(t, tc.size)
+		tc.corrupt(items)
 		single := true
 		for _, it := range items {
 			single = single && Verify(it.Pub, it.Msg, it.Sig)
 		}
-		if ok != single {
-			t.Fatalf("n=%d: BatchVerifyWith=%v, per-signature verify=%v", n, ok, single)
-		}
-		if !ok {
-			t.Fatalf("n=%d: valid batch rejected", n)
-		}
-	}
-
-	for corrupt := 0; corrupt < 3; corrupt++ {
-		items := makeBatch(t, 4)
-		switch corrupt {
-		case 0:
-			items[2].Msg = []byte("tampered")
-		case 1:
-			sig := append([]byte(nil), items[3].Sig...)
-			sig[len(sig)-5] ^= 1
-			items[3].Sig = sig
-		case 2:
-			items[0].Sig, items[1].Sig = items[1].Sig, items[0].Sig
-		}
-		ok, err := BatchVerifyWith(ctx, rand.Reader, sm, items)
+		oracle, err := BatchVerify(rand.Reader, items)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: BatchVerify: %v", tc.name, err)
 		}
-		if ok {
-			t.Fatalf("corrupted batch (mode %d) accepted by backend path", corrupt)
+		if oracle != tc.valid || single != tc.valid {
+			t.Fatalf("%s: BatchVerify=%v per-item Verify=%v, want %v", tc.name, oracle, single, tc.valid)
 		}
-		// The corrupted item also fails per-signature verification on the
-		// same backend: the two granularities must agree on the verdict.
-		anyBad := false
-		for _, it := range items {
-			single, err := VerifyWith(ctx, sm, it.Pub, it.Msg, it.Sig)
+		spy := &spyScalarMulter{}
+		for _, sm := range []ScalarMulter{spy, FuncScalarMulter{}} {
+			got, err := BatchVerifyWith(ctx, rand.Reader, sm, items)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s on %T: %v", tc.name, sm, err)
 			}
-			anyBad = anyBad || !single
+			if got != tc.valid {
+				t.Fatalf("%s on %T: BatchVerifyWith=%v, want %v", tc.name, sm, got, tc.valid)
+			}
 		}
-		if !anyBad {
-			t.Fatalf("mode %d: batch rejected but every signature verifies individually", corrupt)
+		if fixed, variable := spy.counts(); fixed != tc.calls || variable != tc.calls {
+			t.Fatalf("%s: fixed=%d variable=%d calls, want %d each", tc.name, fixed, variable, tc.calls)
 		}
 	}
 }
@@ -182,6 +203,32 @@ func TestBatchVerifyWithEmptyAndMalformed(t *testing.T) {
 	ok, err := BatchVerifyWith(ctx, rand.Reader, sm, items)
 	if err != nil || ok {
 		t.Fatalf("non-canonical s: ok=%v err=%v, want rejected without error", ok, err)
+	}
+}
+
+// TestBatchVerifyWithMisuseMakesNoCalls: a nil key or a wrong-length
+// signature anywhere in the batch is reported as errBadBatch before any
+// backend call, even when the bad item comes last.
+func TestBatchVerifyWithMisuseMakesNoCalls(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*BatchItem)
+	}{
+		{"nil key", func(it *BatchItem) { it.Pub = nil }},
+		{"short signature", func(it *BatchItem) { it.Sig = it.Sig[:SignatureSize-1] }},
+		{"long signature", func(it *BatchItem) { it.Sig = append(append([]byte(nil), it.Sig...), 0) }},
+	} {
+		items := makeBatch(t, 3)
+		tc.corrupt(&items[2])
+		spy := &spyScalarMulter{}
+		ok, err := BatchVerifyWith(ctx, rand.Reader, spy, items)
+		if !errors.Is(err, errBadBatch) || ok {
+			t.Fatalf("%s: ok=%v err=%v, want errBadBatch", tc.name, ok, err)
+		}
+		if fixed, variable := spy.counts(); fixed != 0 || variable != 0 {
+			t.Fatalf("%s: %d fixed + %d variable backend calls before the misuse was reported", tc.name, fixed, variable)
+		}
 	}
 }
 

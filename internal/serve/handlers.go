@@ -87,17 +87,17 @@ type ErrorResponse struct {
 }
 
 // Weights charged against a shard's engine queue capacity at
-// admission: the worst-case number of engine submissions the request
-// can have outstanding. Sign costs one scalar multiplication, verify
-// two (sequential, but charged fully as the conservative bound), and a
-// batch of n fans out 2n+1 concurrent terms.
+// admission: the number of engine submissions the request can have
+// outstanding. Sign costs one scalar multiplication, verify two
+// concurrent ones ([s]G on the fixed-base comb beside [h]A), and a
+// batch of n fans out n such pairs, 2n calls.
 const (
 	weightScalarMult = 1
 	weightSign       = 1
 	weightVerify     = 2
 )
 
-func weightBatch(n int) int { return 2*n + 1 }
+func weightBatch(n int) int { return 2 * n }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -13,10 +13,10 @@
 //     rejected before anything is dispatched, so it never occupies an
 //     engine queue slot;
 //  3. weighted admission control (503 Service Unavailable): each
-//     request is charged its worst-case engine occupancy (a batch of n
-//     signatures costs 2n+1 scalar multiplications) against the least
-//     loaded shard, and the server sheds once that shard's outstanding
-//     weight would cross ShedHighWater of its engine queue capacity.
+//     request is charged its engine occupancy (a batch of n signatures
+//     costs 2n scalar multiplications) against the least loaded shard,
+//     and the server sheds once that shard's outstanding weight would
+//     cross ShedHighWater of its engine queue capacity.
 //     Shedding therefore happens strictly before the engine's own
 //     backpressure (ErrQueueFull) can trigger — the engine queue never
 //     saturates through the front door.
@@ -321,7 +321,7 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.Engine.QueueDepth <= 0 {
 		// Mirror the engine's default (4 workers' worth of queue), but
-		// floor it so a maximum-size batch (weight 2n+1) fits under the
+		// floor it so a maximum-size batch (weight 2n) fits under the
 		// shed high-water mark of an idle shard — otherwise full batches
 		// would shed unconditionally.
 		w := opts.Engine.Workers
@@ -342,10 +342,10 @@ func New(opts Options) (*Server, error) {
 	}
 	// The front door hosts signing, so the shared processor always
 	// carries the fixed-base comb program alongside the variable-base
-	// one: SignWith routes each commitment multiplication [r]G through
-	// engine.ScalarMultFixedBase (schnorrq.FixedBaseScalarMulter), and
-	// the engines keep lane batches homogeneous per program. Verify
-	// traffic stays on the variable-base program.
+	// one: SignWith's commitment [r]G and VerifyWith's [s]G go through
+	// engine.ScalarMultFixedBase (schnorrq.FixedBaseScalarMulter), only
+	// verification's [h]A and /v1/scalarmult stay variable-base, and the
+	// engines keep lane batches homogeneous per program.
 	opts.Config.FixedBase = true
 	// The processor build reports solver progress through the server's
 	// registry (sched.best_makespan / sched.solver_improvements on

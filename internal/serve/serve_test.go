@@ -454,7 +454,8 @@ func TestDebugSurfaceMounted(t *testing.T) {
 // TestServeSignRidesFixedBase pins the request-class routing through the
 // whole stack: the server's processor carries the comb program, a
 // /v1/sign commitment lands on it (per-shard engine counter
-// completed_fixedbase), and /v1/verify traffic stays variable-base.
+// completed_fixedbase), and each /v1/verify puts exactly one call on
+// each program: [s]G on the comb, [h]A variable-base.
 func TestServeSignRidesFixedBase(t *testing.T) {
 	ts := startServer(t, Options{
 		Shards: 1,
@@ -491,10 +492,46 @@ func TestServeSignRidesFixedBase(t *testing.T) {
 		t.Fatal("verify rejected a valid signature")
 	}
 	snap = ts.s.Metrics().Snapshot()
-	if got := snap.Counters["engine.shard0.completed_fixedbase"]; got != 1 {
-		t.Fatalf("verify moved completed_fixedbase to %d; it must stay variable-base", got)
+	if got := snap.Counters["engine.shard0.completed_fixedbase"]; got != 2 {
+		t.Fatalf("completed_fixedbase = %d after one sign and one verify, want 2", got)
 	}
-	if got := snap.Counters["engine.shard0.completed_variablebase"]; got != 2 {
-		t.Fatalf("completed_variablebase = %d after one verify, want 2", got)
+	if got := snap.Counters["engine.shard0.completed_variablebase"]; got != 1 {
+		t.Fatalf("completed_variablebase = %d after one verify, want 1", got)
+	}
+}
+
+// TestServeBatchVerifyExactOnComb: /v1/batch/verify verifies each item
+// exactly as a /v1/verify pair — one comb [s_i]G and one variable-base
+// [h_i]A_i per item, 2n engine calls — and a single forged item turns
+// the verdict false.
+func TestServeBatchVerifyExactOnComb(t *testing.T) {
+	ts := startServer(t, Options{
+		Shards: 1,
+		Engine: engine.Options{Workers: 1, LaneWidth: 4},
+	})
+	f := newFixture(t, 3)
+	batch := BatchVerifyRequest{Items: []VerifyRequest{f.verifyReq(0), f.verifyReq(1), f.verifyReq(2)}}
+	forged := BatchVerifyRequest{Items: append([]VerifyRequest(nil), batch.Items...)}
+	forged.Items[1].Msg = hex.EncodeToString([]byte("forged"))
+	for i, tc := range []struct {
+		req  BatchVerifyRequest
+		want bool
+	}{{batch, true}, {forged, false}} {
+		status, body := ts.post(t, "/v1/batch/verify", "", tc.req)
+		if status != http.StatusOK {
+			t.Fatalf("batch %d: status %d: %s", i, status, body)
+		}
+		var br BatchVerifyResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatal(err)
+		}
+		if br.Valid != tc.want || br.Items != 3 {
+			t.Fatalf("batch %d: valid=%v items=%d, want valid=%v items=3", i, br.Valid, br.Items, tc.want)
+		}
+		snap := ts.s.Metrics().Snapshot()
+		calls := int64(3 * (i + 1))
+		if fb, vb := snap.Counters["engine.shard0.completed_fixedbase"], snap.Counters["engine.shard0.completed_variablebase"]; fb != calls || vb != calls {
+			t.Fatalf("after batch %d: completed_fixedbase=%d completed_variablebase=%d, want %d each", i, fb, vb, calls)
+		}
 	}
 }
